@@ -15,27 +15,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import (
     ALL_ANNOTATORS,
     Corpus,
     CorpusError,
-    Segment,
     escape_field,
     load_corpus,
-    tokenize,
     unescape_field,
 )
 from .rankeval import (
-    METRIC_POLARITY,
+    DA_METRIC,
+    GOLD_METRIC,
+    METRICS,
+    Metric,
     RankInstance,
     effort_oriented,
     rank_by,
@@ -44,92 +44,20 @@ from .rankeval import (
     tail_overlap,
 )
 from .stats import cluster_annotators, weighted_mean_std, williams_test
-from .taskmetrics import SegmentScores, all_view, score_segment
-from .textmetrics import bleu, meteor_lite, ter
+from .taskmetrics import SegmentScores, all_view, reference_scores, score_segment
+from .textmetrics import ter  # noqa: F401 - perfbench/test_generate.py traces this binding
 
-METRICS = ("TER", "BLEU", "METEOR", "DA", "HTER", "HBLEU", "HMETEOR", "KEYS_PER_CHAR", "PETPW")
-LOO_METRICS = ("DA", "HTER", "HBLEU", "HMETEOR", "KEYS_PER_CHAR", "PETPW")
-GOLD_METRIC = "PETPW"
-
-SCORES_HEADER = (
-    "segment_id",
-    "annotator_id",
-    "mt_tokens",
-    "pe_time_sec",
-    "petpw",
-    "keys_per_char",
-    "hter",
-    "hbleu",
-    "hmeteor",
-    "ter",
-    "bleu",
-    "meteor",
-    "da",
-)
-
-_METRIC_FIELD = {
-    "TER": "ter",
-    "BLEU": "bleu",
-    "METEOR": "meteor",
-    "DA": "da",
-    "HTER": "hter",
-    "HBLEU": "hbleu",
-    "HMETEOR": "hmeteor",
-    "KEYS_PER_CHAR": "keys_per_char",
-    "PETPW": "petpw",
-}
-
-THREADS_ENV = "PE_RANK_THREADS"
+# Scores-file columns: the SegmentScores fields, with their annotation strings.
+_COLUMNS = tuple((f.name, f.type) for f in fields(SegmentScores))
+SCORES_HEADER = tuple(name for name, _ in _COLUMNS)
 
 
 class CliError(ValueError):
     """Bad input to a command; reported on stderr with exit status 1."""
 
 
-def _workers() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise CliError(f"{THREADS_ENV} must be >= 1")
-    return value
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply fn to items, preserving order; parallel when allowed."""
-    workers = _workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # scores table
-
-
-def _reference_only_row(seg: Segment) -> SegmentScores:
-    hyp = tokenize(seg.mt)
-    ind_ref = tokenize(seg.reference)
-    return SegmentScores(
-        segment_id=seg.id,
-        annotator_id=ALL_ANNOTATORS,
-        mt_tokens=len(hyp),
-        pe_time_sec=None,
-        petpw=None,
-        keys_per_char=None,
-        hter=None,
-        hbleu=None,
-        hmeteor=None,
-        ter=ter(hyp, ind_ref).score,
-        bleu=bleu(hyp, ind_ref),
-        meteor=meteor_lite(hyp, ind_ref).score,
-        da=seg.da,
-    )
 
 
 def score_corpus(corpus: Corpus) -> list[SegmentScores]:
@@ -140,136 +68,145 @@ def score_corpus(corpus: Corpus) -> list[SegmentScores]:
     ALL row.
     """
     sessions_index = corpus.sessions_by_segment()
-    segments = sorted(corpus.segments, key=lambda s: s.id)
-
-    def one(seg: Segment) -> list[SegmentScores]:
+    out: list[SegmentScores] = []
+    for seg in sorted(corpus.segments, key=lambda s: s.id):
         rows = [score_segment(seg, sess) for sess in sessions_index[seg.id]]
-        rows.append(all_view(rows) if rows else _reference_only_row(seg))
-        return rows
+        rows.append(all_view(rows) if rows else reference_scores(seg))
+        out.extend(rows)
+    return out
 
-    return [row for chunk in _map_ordered(one, segments) for row in chunk]
 
-
-def _fmt(value: float | int | None) -> str:
+def _fmt(value) -> str:
+    """One output cell; None is an empty cell."""
     if value is None:
         return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return escape_field(str(value))
 
 
 def write_scores(rows: Sequence[SegmentScores], path: str | Path) -> None:
     lines = ["\t".join(SCORES_HEADER)]
-    for r in rows:
-        lines.append(
-            "\t".join(
-                (
-                    escape_field(r.segment_id),
-                    escape_field(r.annotator_id),
-                    str(r.mt_tokens),
-                    _fmt(r.pe_time_sec),
-                    _fmt(r.petpw),
-                    _fmt(r.keys_per_char),
-                    _fmt(r.hter),
-                    _fmt(r.hbleu),
-                    _fmt(r.hmeteor),
-                    _fmt(r.ter),
-                    _fmt(r.bleu),
-                    _fmt(r.meteor),
-                    _fmt(r.da),
-                )
-            )
-        )
+    lines.extend("\t".join(_fmt(getattr(r, name)) for name in SCORES_HEADER) for r in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_scores(path: str | Path) -> list[SegmentScores]:
-    """Parse a scores file written by `score` (or an equivalent producer)."""
+def _parse_cell(raw: str, column: str, kind: str, lineno: int):
+    """One scores-file cell, parsed by its annotation: str, int, float or float | None."""
+    if kind == "str":
+        return unescape_field(raw)
+    if kind == "int":
+        try:
+            return int(raw)
+        except ValueError:
+            raise CliError(f"scores line {lineno}: non-numeric {column}") from None
+    if raw == "":
+        if kind == "float":
+            raise CliError(f"scores line {lineno}: missing reference-based metric")
+        return None
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        value = float(raw)
+    except ValueError:
+        raise CliError(f"scores line {lineno}: non-numeric {column} {raw!r}") from None
+    if not math.isfinite(value):
+        raise CliError(f"scores line {lineno}: non-finite {column} {raw!r}")
+    return value
+
+
+def _data_lines(path: str | Path) -> Iterator[str]:
+    """The non-empty lines of a file, split on LF only, read one at a time."""
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if line:
+                    yield line
     except OSError as exc:
         raise CliError(f"cannot read scores file: {exc}") from None
-    lines = [line for line in text.split("\n") if line]
-    if not lines:
+
+
+def read_scores(path: str | Path) -> list[SegmentScores]:
+    """Parse a scores file written by `score` (or an equivalent producer).
+
+    Rejects non-finite numbers and a second row for the same (segment,
+    annotator) pair, naming the line.
+    """
+    lines = _data_lines(path)
+    header = next(lines, None)
+    if header is None:
         raise CliError("scores file is empty")
-    header = tuple(lines[0].split("\t"))
-    if header != SCORES_HEADER:
+    if tuple(header.split("\t")) != SCORES_HEADER:
         raise CliError(
             "scores file header mismatch: expected "
             + "\t".join(SCORES_HEADER).replace("\t", ", ")
         )
     rows: list[SegmentScores] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != len(SCORES_HEADER):
+    seen: dict[str, set[str]] = {}  # annotator -> segment ids read so far
+    for lineno, line in enumerate(lines, start=2):
+        cells = line.split("\t")
+        if len(cells) != len(SCORES_HEADER):
             raise CliError(f"scores line {lineno}: wrong field count")
-        named = dict(zip(SCORES_HEADER, fields))
-
-        def opt_float(column: str) -> float | None:
-            raw = named[column]
-            if raw == "":
-                return None
-            try:
-                return float(raw)
-            except ValueError:
-                raise CliError(
-                    f"scores line {lineno}: non-numeric {column} {raw!r}"
-                ) from None
-
-        try:
-            mt_tokens = int(named["mt_tokens"])
-        except ValueError:
-            raise CliError(f"scores line {lineno}: non-numeric mt_tokens") from None
-        ter_v = opt_float("ter")
-        bleu_v = opt_float("bleu")
-        meteor_v = opt_float("meteor")
-        if ter_v is None or bleu_v is None or meteor_v is None:
-            raise CliError(f"scores line {lineno}: missing reference-based metric")
-        rows.append(
-            SegmentScores(
-                segment_id=unescape_field(named["segment_id"]),
-                annotator_id=unescape_field(named["annotator_id"]),
-                mt_tokens=mt_tokens,
-                pe_time_sec=opt_float("pe_time_sec"),
-                petpw=opt_float("petpw"),
-                keys_per_char=opt_float("keys_per_char"),
-                hter=opt_float("hter"),
-                hbleu=opt_float("hbleu"),
-                hmeteor=opt_float("hmeteor"),
-                ter=ter_v,
-                bleu=bleu_v,
-                meteor=meteor_v,
-                da=opt_float("da"),
+        row = SegmentScores(
+            *(
+                _parse_cell(raw, column, kind, lineno)
+                for raw, (column, kind) in zip(cells, _COLUMNS)
             )
         )
+        segments = seen.setdefault(row.annotator_id, set())
+        if row.segment_id in segments:
+            raise CliError(
+                f"scores line {lineno}: duplicate row for segment "
+                f"'{row.segment_id}', annotator '{row.annotator_id}'"
+            )
+        segments.add(row.segment_id)
+        rows.append(row)
     return rows
 
 
-def _annotators(rows: Sequence[SegmentScores]) -> list[str]:
-    return sorted({r.annotator_id for r in rows if r.annotator_id != ALL_ANNOTATORS})
+class ScoreViews:
+    """Annotator views of score rows, each built once, when first asked for.
+
+    A view holds one annotator's rows (or the ALL rows) in segment id order
+    and must cover every segment in the rows. The check is made per view, so
+    a command that needs only the ALL view runs when some annotator has gaps.
+    """
+
+    def __init__(self, rows: Sequence[SegmentScores]) -> None:
+        self.rows = rows
+        self.segment_ids = sorted({r.segment_id for r in rows})
+        self._views: dict[str, list[SegmentScores]] = {}
+
+    @functools.cached_property
+    def annotators(self) -> list[str]:
+        return sorted({r.annotator_id for r in self.rows if r.annotator_id != ALL_ANNOTATORS})
+
+    def view(self, annotator: str) -> list[SegmentScores]:
+        """All rows of one annotator view, sorted by segment id, gap-checked."""
+        if annotator not in self._views:
+            selected = {r.segment_id: r for r in self.rows if r.annotator_id == annotator}
+            if not selected:
+                raise CliError(f"no rows for annotator '{annotator}'")
+            missing = [sid for sid in self.segment_ids if sid not in selected]
+            if missing:
+                raise CliError(
+                    f"scores incomplete for annotator '{annotator}': missing segment '{missing[0]}'"
+                )
+            self._views[annotator] = [selected[sid] for sid in self.segment_ids]
+        return self._views[annotator]
 
 
-def _view_rows(rows: Sequence[SegmentScores], annotator: str) -> list[SegmentScores]:
-    """All rows of one annotator view, sorted by segment id, gap-checked."""
-    universe = sorted({r.segment_id for r in rows})
-    selected = {r.segment_id: r for r in rows if r.annotator_id == annotator}
-    if not selected:
-        raise CliError(f"no rows for annotator '{annotator}'")
-    missing = [sid for sid in universe if sid not in selected]
-    if missing:
-        raise CliError(
-            f"scores incomplete for annotator '{annotator}': missing segment '{missing[0]}'"
-        )
-    return [selected[sid] for sid in universe]
+def _views(rows: Sequence[SegmentScores] | ScoreViews) -> ScoreViews:
+    return rows if isinstance(rows, ScoreViews) else ScoreViews(rows)
 
 
-def _metric_vector(
-    view: Sequence[SegmentScores], metric: str
-) -> list[float] | None:
-    field = _METRIC_FIELD[metric]
-    values = [getattr(r, field) for r in view]
+def _metric_vector(view: Sequence[SegmentScores], metric: Metric) -> list[float] | None:
+    values = [getattr(r, metric.field) for r in view]
     if any(v is None for v in values):
-        if metric == "DA":
+        if metric is DA_METRIC:
             return None  # DA column is optional; callers omit its rows
-        raise CliError(f"scores incomplete: missing {metric} value")
+        raise CliError(f"scores incomplete: missing {metric.name} value")
     return values
 
 
@@ -280,13 +217,11 @@ def _metric_vector(
 def _satra_for_values(
     view: Sequence[SegmentScores],
     values: Sequence[float],
-    metric: str,
+    metric: Metric,
     times: Sequence[float],
 ) -> float:
     by_id = {r.segment_id: i for i, r in enumerate(view)}
-    ranking = rank_by(
-        {r.segment_id: v for r, v in zip(view, values)}, METRIC_POLARITY[metric]
-    )
+    ranking = rank_by({r.segment_id: v for r, v in zip(view, values)}, metric.polarity)
     return satra(
         RankInstance(
             segment_ids=tuple(ranking),
@@ -311,30 +246,29 @@ def build_rank_table(
     times = [r.pe_time_sec for r in view]
     if any(t is None for t in times):
         raise CliError("scores file has no pe_time_sec (corpus without sessions?)")
-    available = []
-    vectors: dict[str, list[float]] = {}
+    vectors: dict[Metric, list[float]] = {}
     notes: list[str] = []
     for metric in METRICS:
         values = _metric_vector(view, metric)
         if values is None:
-            notes.append(f"metric {metric} unavailable; rows omitted")
-            continue
-        available.append(metric)
-        vectors[metric] = values
-    oriented = {
-        m: effort_oriented(vectors[m], METRIC_POLARITY[m]) for m in available
-    }
-    rho = {m: spearman(oriented[m], gold) for m in available}
-    satra_scores = {
-        m: _satra_for_values(view, vectors[m], m, times) for m in available
-    }
-    ranked_metrics = [m for m in available if m != GOLD_METRIC]
+            notes.append(f"metric {metric.name} unavailable; rows omitted")
+        else:
+            vectors[metric] = values
+    oriented = {m: effort_oriented(v, m.polarity) for m, v in vectors.items()}
+    rho = {m: spearman(oriented[m], gold) for m in vectors}
+    satra_scores = {m: _satra_for_values(view, v, m, times) for m, v in vectors.items()}
+    ranked_metrics = [m for m in vectors if m is not GOLD_METRIC]
     best = max(ranked_metrics, key=lambda m: rho[m]) if ranked_metrics else None
+    # spearman is symmetric to the bit, so one inter-metric rho serves both
+    # orders of a pair
+    inter: dict[frozenset[Metric], float] = {}
 
-    def williams_pair(a: str, b: str) -> tuple[float | None, float | None]:
+    def williams_pair(a: Metric, b: Metric) -> tuple[float | None, float | None]:
         try:
-            r12 = spearman(oriented[a], oriented[b])
-            result = williams_test(r12, rho[a], rho[b], len(view))
+            key = frozenset((a, b))
+            if key not in inter:
+                inter[key] = spearman(oriented[a], oriented[b])
+            result = williams_test(inter[key], rho[a], rho[b], len(view))
         except ValueError:
             return None, None
         return result.t_stat, result.p_one_tailed
@@ -345,27 +279,27 @@ def build_rank_table(
             t_stat, p = williams_pair(a, b)
             pairs.append(
                 {
-                    "metric_a": a,
-                    "metric_b": b,
+                    "metric_a": a.name,
+                    "metric_b": b.name,
                     "t": t_stat,
                     "p": p,
                     "significant": None if p is None else p < williams_alpha,
                 }
             )
     rows = []
-    for metric in available:
+    for metric in vectors:
         p_vs_best: float | None = None
         sig_vs_best: bool | None = None
-        if best is not None and metric != best and metric != GOLD_METRIC:
+        if best is not None and metric is not best and metric is not GOLD_METRIC:
             # one-tailed: is the best metric's correlation genuinely larger?
             _, p_vs_best = williams_pair(best, metric)
             sig_vs_best = None if p_vs_best is None else p_vs_best < williams_alpha
         rows.append(
             {
-                "metric": metric,
+                "metric": metric.name,
                 "rho": rho[metric],
                 "satra": satra_scores[metric],
-                "best": metric == best,
+                "best": metric is best,
                 "p_vs_best": p_vs_best,
                 "sig_vs_best": sig_vs_best,
             }
@@ -387,23 +321,27 @@ class LOOGold:
     gold_times: tuple[float, ...]
 
 
-def loo_gold(rows: Sequence[SegmentScores], annotator: str) -> LOOGold:
-    """Per-segment mean PETpW and mean time of every *other* annotator."""
-    annotators = _annotators(rows)
-    if len(annotators) < 2:
+def _loo_annotators(views: ScoreViews) -> list[str]:
+    if len(views.annotators) < 2:
         raise CliError("leave-one-out requires at least 2 annotators")
+    return views.annotators
+
+
+def loo_gold(rows: Sequence[SegmentScores] | ScoreViews, annotator: str) -> LOOGold:
+    """Per-segment mean PETpW and mean time of every *other* annotator."""
+    views = _views(rows)
+    annotators = _loo_annotators(views)
     if annotator not in annotators:
         raise CliError(f"unknown annotator '{annotator}'")
-    others = [a for a in annotators if a != annotator]
-    views = {a: _view_rows(rows, a) for a in others}
-    ids = [r.segment_id for r in views[others[0]]]
+    others = {a: views.view(a) for a in annotators if a != annotator}
+    ids = views.segment_ids
     gold_petpw: list[float] = []
     gold_times: list[float] = []
     for i, sid in enumerate(ids):
         pws = []
         times = []
-        for a in others:
-            row = views[a][i]
+        for a, view in others.items():
+            row = view[i]
             if row.petpw is None or row.pe_time_sec is None:
                 raise CliError(f"missing PETPW for annotator '{a}', segment '{sid}'")
             pws.append(row.petpw)
@@ -418,28 +356,26 @@ def loo_gold(rows: Sequence[SegmentScores], annotator: str) -> LOOGold:
     )
 
 
-def build_loo_table(rows: Sequence[SegmentScores]) -> dict:
+def build_loo_table(rows: Sequence[SegmentScores] | ScoreViews) -> dict:
     """Rho/SATRA of each annotator's metrics against the others' mean PETpW."""
-    annotators = _annotators(rows)
-    if len(annotators) < 2:
-        raise CliError("leave-one-out requires at least 2 annotators")
+    views = _views(rows)
     table = []
     notes: list[str] = []
-    for annotator in annotators:
-        view = _view_rows(rows, annotator)
-        gold = loo_gold(rows, annotator)
-        for metric in LOO_METRICS:
+    for annotator in _loo_annotators(views):
+        view = views.view(annotator)
+        gold = loo_gold(views, annotator)
+        for metric in (m for m in METRICS if m.loo):
             values = _metric_vector(view, metric)
             if values is None:
-                note = f"metric {metric} unavailable; rows omitted"
+                note = f"metric {metric.name} unavailable; rows omitted"
                 if note not in notes:
                     notes.append(note)
                 continue
-            oriented = effort_oriented(values, METRIC_POLARITY[metric])
+            oriented = effort_oriented(values, metric.polarity)
             table.append(
                 {
                     "annotator": annotator,
-                    "metric": metric,
+                    "metric": metric.name,
                     "rho": spearman(oriented, list(gold.gold_petpw)),
                     "satra": _satra_for_values(view, values, metric, gold.gold_times),
                 }
@@ -452,7 +388,7 @@ def build_loo_table(rows: Sequence[SegmentScores]) -> dict:
 
 
 def build_tails(
-    rows: Sequence[SegmentScores], side: str, max_cut: int, step: int
+    rows: Sequence[SegmentScores] | ScoreViews, side: str, max_cut: int, step: int
 ) -> dict:
     """Overlap counts between the gold PETpW tail and each metric's tail.
 
@@ -461,7 +397,7 @@ def build_tails(
     """
     if side not in ("best", "worst"):
         raise CliError(f"side must be 'best' or 'worst', got {side!r}")
-    view = _view_rows(rows, ALL_ANNOTATORS)
+    view = _views(rows).view(ALL_ANNOTATORS)
     n = len(view)
     if max_cut > n:
         raise CliError(f"max cut {max_cut} exceeds {n} segments")
@@ -471,10 +407,7 @@ def build_tails(
     if any(v is None for v in gold):
         raise CliError("scores file has no PETPW gold (corpus without sessions?)")
     cuts = list(range(step, max_cut + 1, step))
-    gold_rank = rank_by(
-        {r.segment_id: v for r, v in zip(view, gold)},
-        METRIC_POLARITY[GOLD_METRIC],
-    )
+    gold_rank = rank_by({r.segment_id: v for r, v in zip(view, gold)}, GOLD_METRIC.polarity)
     if side == "worst":
         gold_rank = list(reversed(gold_rank))
     out = []
@@ -482,16 +415,16 @@ def build_tails(
     for metric in METRICS:
         values = _metric_vector(view, metric)
         if values is None:
-            notes.append(f"metric {metric} unavailable; rows omitted")
+            notes.append(f"metric {metric.name} unavailable; rows omitted")
             continue
         metric_rank = rank_by(
-            {r.segment_id: v for r, v in zip(view, values)}, METRIC_POLARITY[metric]
+            {r.segment_id: v for r, v in zip(view, values)}, metric.polarity
         )
         if side == "worst":
             metric_rank = list(reversed(metric_rank))
         for cut, overlap in zip(cuts, tail_overlap(gold_rank, metric_rank, cuts)):
-            out.append({"cut": cut, "metric": metric, "overlap": overlap})
-    out.sort(key=lambda r: (r["cut"], METRICS.index(r["metric"])))
+            out.append({"cut": cut, "metric": metric.name, "overlap": overlap})
+    out.sort(key=lambda r: r["cut"])  # stable: metrics keep their order within a cut
     return {"rows": out, "notes": notes}
 
 
@@ -499,29 +432,25 @@ def build_tails(
 # report-only tables
 
 
-def build_stats_table(rows: Sequence[SegmentScores]) -> dict:
+def build_stats_table(rows: Sequence[SegmentScores] | ScoreViews) -> dict:
     """Weighted mean/std of every metric per annotator view; weights are MT words."""
-    views = _annotators(rows) + [ALL_ANNOTATORS]
+    views = _views(rows)
     table = []
     notes: list[str] = []
-    for annotator in views:
-        view = _view_rows(rows, annotator)
+    for annotator in views.annotators + [ALL_ANNOTATORS]:
+        view = views.view(annotator)
         weights = [float(r.mt_tokens) for r in view]
         for metric in METRICS:
-            field = _METRIC_FIELD[metric]
-            values = [getattr(r, field) for r in view]
+            values = [getattr(r, metric.field) for r in view]
             if any(v is None for v in values):
-                note = f"metric {metric} unavailable for '{annotator}'; rows omitted"
+                note = f"metric {metric.name} unavailable for '{annotator}'; rows omitted"
                 notes.append(note)
                 continue
             mean, std = weighted_mean_std(values, weights)
             table.append(
-                {"annotator": annotator, "metric": metric, "mean": mean, "std": std}
+                {"annotator": annotator, "metric": metric.name, "mean": mean, "std": std}
             )
     return {"rows": table, "notes": notes}
-
-
-SCATTER_METRICS = tuple(m for m in METRICS if m != GOLD_METRIC)
 
 
 def build_scatter(rows: Sequence[SegmentScores]) -> list[tuple[str, str, str, float, float]]:
@@ -531,19 +460,19 @@ def build_scatter(rows: Sequence[SegmentScores]) -> list[tuple[str, str, str, fl
     for r in ordered:
         if r.petpw is None:
             continue
-        for metric in SCATTER_METRICS:
-            value = getattr(r, _METRIC_FIELD[metric])
-            if value is None:
+        for metric in METRICS:
+            value = getattr(r, metric.field)
+            if metric is GOLD_METRIC or value is None:
                 continue
-            out.append((r.segment_id, r.annotator_id, metric, value, r.petpw))
+            out.append((r.segment_id, r.annotator_id, metric.name, value, r.petpw))
     return out
 
 
-def petpw_by_annotator(rows: Sequence[SegmentScores]) -> dict[str, list[float]]:
+def petpw_by_annotator(rows: Sequence[SegmentScores] | ScoreViews) -> dict[str, list[float]]:
+    views = _views(rows)
     result: dict[str, list[float]] = {}
-    for annotator in _annotators(rows):
-        view = _view_rows(rows, annotator)
-        values = [r.petpw for r in view]
+    for annotator in views.annotators:
+        values = [r.petpw for r in views.view(annotator)]
         if any(v is None for v in values):
             raise CliError(f"missing PETPW for annotator '{annotator}'")
         result[annotator] = values
@@ -554,25 +483,17 @@ def petpw_by_annotator(rows: Sequence[SegmentScores]) -> dict[str, list[float]]:
 # commands
 
 
-def _write_tsv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_tsv(path: Path, header: Sequence[str], rows: Iterable[dict]) -> None:
+    """One line per row dict, holding its values under the header's keys."""
     lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join("" if v is None else _fmt_cell(v) for v in row))
+    lines.extend("\t".join(_fmt(row[key]) for key in header) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return escape_field(str(value))
-
-
-def _check_finite(label: str, values: Iterable[float]) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise RuntimeError(f"internal invariant violation: non-finite {label}")
+def _check_rho_satra(rows: Iterable[dict]) -> None:
+    for r in rows:
+        if not (math.isfinite(r["rho"]) and math.isfinite(r["satra"])):
+            raise RuntimeError("internal invariant violation: non-finite rho/satra")
 
 
 def cmd_score(args: argparse.Namespace) -> None:
@@ -581,61 +502,30 @@ def cmd_score(args: argparse.Namespace) -> None:
     write_scores(rows, args.out)
 
 
-def _rank_table_rows(table: dict) -> list[Sequence]:
-    return [
-        (
-            r["metric"],
-            r["rho"],
-            r["satra"],
-            r["best"],
-            r["p_vs_best"],
-            r["sig_vs_best"],
-        )
-        for r in table["rows"]
-    ]
-
-
 _RANK_HEADER = ("metric", "rho", "satra", "best", "p_vs_best", "sig_vs_best")
 _PAIR_HEADER = ("metric_a", "metric_b", "t", "p", "significant")
+_LOO_HEADER = ("annotator", "metric", "rho", "satra")
+_TAILS_HEADER = ("cut", "metric", "overlap")
 
 
 def cmd_rank_eval(args: argparse.Namespace) -> None:
-    rows = read_scores(args.scores)
-    view = _view_rows(rows, args.annotator)
+    view = ScoreViews(read_scores(args.scores)).view(args.annotator)
     table = build_rank_table(view, williams_alpha=args.williams_alpha)
-    _check_finite("rho/satra", (v for r in table["rows"] for v in (r["rho"], r["satra"])))
+    _check_rho_satra(table["rows"])
     out = Path(args.out)
-    _write_tsv(out, _RANK_HEADER, _rank_table_rows(table))
-    pairs_path = out.with_name(out.name + ".williams.tsv")
-    _write_tsv(
-        pairs_path,
-        _PAIR_HEADER,
-        (
-            (p["metric_a"], p["metric_b"], p["t"], p["p"], p["significant"])
-            for p in table["williams_pairs"]
-        ),
-    )
+    _write_tsv(out, _RANK_HEADER, table["rows"])
+    _write_tsv(out.with_name(out.name + ".williams.tsv"), _PAIR_HEADER, table["williams_pairs"])
 
 
 def cmd_loo(args: argparse.Namespace) -> None:
-    rows = read_scores(args.scores)
-    table = build_loo_table(rows)
-    _check_finite("rho/satra", (v for r in table["rows"] for v in (r["rho"], r["satra"])))
-    _write_tsv(
-        Path(args.out),
-        ("annotator", "metric", "rho", "satra"),
-        ((r["annotator"], r["metric"], r["rho"], r["satra"]) for r in table["rows"]),
-    )
+    table = build_loo_table(read_scores(args.scores))
+    _check_rho_satra(table["rows"])
+    _write_tsv(Path(args.out), _LOO_HEADER, table["rows"])
 
 
 def cmd_tails(args: argparse.Namespace) -> None:
-    rows = read_scores(args.scores)
-    table = build_tails(rows, args.side, args.max, args.step)
-    _write_tsv(
-        Path(args.out),
-        ("cut", "metric", "overlap"),
-        ((r["cut"], r["metric"], r["overlap"]) for r in table["rows"]),
-    )
+    table = build_tails(read_scores(args.scores), args.side, args.max, args.step)
+    _write_tsv(Path(args.out), _TAILS_HEADER, table["rows"])
 
 
 def _stage(name: str, fn: Callable, *fn_args):
@@ -652,75 +542,47 @@ def cmd_report(args: argparse.Namespace) -> None:
     corpus = _stage("load", load_corpus, args.segments, args.sessions)
     rows = _stage("score", score_corpus, corpus)
     _stage("score", write_scores, rows, out_dir / "scores.tsv")
+    views = ScoreViews(rows)
 
     notes: list[str] = []
-    stats_table = _stage("stats", build_stats_table, rows)
+    stats_table = _stage("stats", build_stats_table, views)
     notes.extend(f"stats: {n}" for n in dict.fromkeys(stats_table["notes"]))
-    _write_tsv(
-        out_dir / "stats.tsv",
-        ("annotator", "metric", "mean", "std"),
-        (
-            (r["annotator"], r["metric"], r["mean"], r["std"])
-            for r in stats_table["rows"]
-        ),
-    )
+    _write_tsv(out_dir / "stats.tsv", ("annotator", "metric", "mean", "std"), stats_table["rows"])
 
-    annotator_views = _annotators(rows) + [ALL_ANNOTATORS]
     ranking_table: dict[str, dict] = {}
-    ranking_rows: list[Sequence] = []
-    pair_rows: list[Sequence] = []
-    for annotator in annotator_views:
-        view = _stage("rank-eval", _view_rows, rows, annotator)
+    for annotator in views.annotators + [ALL_ANNOTATORS]:
+        view = _stage("rank-eval", views.view, annotator)
         table = _stage("rank-eval", build_rank_table, view, args.williams_alpha)
         ranking_table[annotator] = table
         notes.extend(f"rank-eval[{annotator}]: {n}" for n in table["notes"])
-        for r in table["rows"]:
-            ranking_rows.append(
-                (annotator, r["metric"], r["rho"], r["satra"], r["best"], r["p_vs_best"], r["sig_vs_best"])
-            )
-        for p in table["williams_pairs"]:
-            pair_rows.append(
-                (annotator, p["metric_a"], p["metric_b"], p["t"], p["p"], p["significant"])
-            )
-    _check_finite(
-        "rho/satra",
-        (
-            v
-            for table in ranking_table.values()
-            for r in table["rows"]
-            for v in (r["rho"], r["satra"])
-        ),
-    )
-    _write_tsv(out_dir / "ranking.tsv", ("annotator",) + _RANK_HEADER, ranking_rows)
-    _write_tsv(out_dir / "williams.tsv", ("annotator",) + _PAIR_HEADER, pair_rows)
+    _check_rho_satra(r for table in ranking_table.values() for r in table["rows"])
+    for name, key, header in (
+        ("ranking.tsv", "rows", _RANK_HEADER),
+        ("williams.tsv", "williams_pairs", _PAIR_HEADER),
+    ):
+        _write_tsv(
+            out_dir / name,
+            ("annotator",) + header,
+            ({"annotator": a, **r} for a, table in ranking_table.items() for r in table[key]),
+        )
 
-    loo_table = _stage("loo", build_loo_table, rows)
+    loo_table = _stage("loo", build_loo_table, views)
     notes.extend(f"loo: {n}" for n in loo_table["notes"])
-    _write_tsv(
-        out_dir / "loo.tsv",
-        ("annotator", "metric", "rho", "satra"),
-        ((r["annotator"], r["metric"], r["rho"], r["satra"]) for r in loo_table["rows"]),
-    )
+    _write_tsv(out_dir / "loo.tsv", _LOO_HEADER, loo_table["rows"])
 
-    n_segments = len({r.segment_id for r in rows})
-    max_cut = min(500, n_segments)
+    max_cut = min(500, len(views.segment_ids))
     step = min(50, max_cut)
     tails = {}
     for side in ("best", "worst"):
-        table = _stage("tails", build_tails, rows, side, max_cut, step)
+        table = _stage("tails", build_tails, views, side, max_cut, step)
         tails[side] = table["rows"]
         notes.extend(f"tails[{side}]: {n}" for n in table["notes"])
-        _write_tsv(
-            out_dir / f"tails_{side}.tsv",
-            ("cut", "metric", "overlap"),
-            ((r["cut"], r["metric"], r["overlap"]) for r in table["rows"]),
-        )
+        _write_tsv(out_dir / f"tails_{side}.tsv", _TAILS_HEADER, table["rows"])
 
-    annotators = _annotators(rows)
-    if len(annotators) >= 2:
+    if len(views.annotators) >= 2:
         clusters = _stage(
             "clusters",
-            lambda: cluster_annotators(petpw_by_annotator(rows), args.ks_alpha),
+            lambda: cluster_annotators(petpw_by_annotator(views), args.ks_alpha),
         )
     else:
         clusters = []
@@ -729,7 +591,7 @@ def cmd_report(args: argparse.Namespace) -> None:
         out_dir / "clusters.tsv",
         ("cluster", "annotator"),
         (
-            (idx, annotator)
+            {"cluster": idx, "annotator": annotator}
             for idx, cluster in enumerate(clusters)
             for annotator in cluster
         ),

@@ -3,7 +3,8 @@
 A ranking orders segment ids from least to most post-editing effort. Metrics
 disagree about which end means effort, so every value vector passes through a
 Polarity before ranking or correlating: TER-like scores are kept as-is,
-BLEU/METEOR/DA-like scores are negated.
+BLEU/METEOR/DA-like scores are negated. `METRICS` is the one table of the
+metric vocabulary: each metric's name, polarity and kind.
 """
 
 from __future__ import annotations
@@ -21,18 +22,49 @@ class Polarity(enum.Enum):
     LOWER_IS_MORE_EFFORT = "lower-is-more-effort"
 
 
-# Effort orientation of the fixed metric vocabulary.
-METRIC_POLARITY: dict[str, Polarity] = {
-    "TER": Polarity.HIGHER_IS_MORE_EFFORT,
-    "BLEU": Polarity.LOWER_IS_MORE_EFFORT,
-    "METEOR": Polarity.LOWER_IS_MORE_EFFORT,
-    "DA": Polarity.LOWER_IS_MORE_EFFORT,
-    "HTER": Polarity.HIGHER_IS_MORE_EFFORT,
-    "HBLEU": Polarity.LOWER_IS_MORE_EFFORT,
-    "HMETEOR": Polarity.LOWER_IS_MORE_EFFORT,
-    "KEYS_PER_CHAR": Polarity.HIGHER_IS_MORE_EFFORT,
-    "PETPW": Polarity.HIGHER_IS_MORE_EFFORT,
-}
+class MetricKind(enum.Enum):
+    """What a metric measures; decides which tables rank it."""
+
+    REFERENCE = "reference-based"  # MT against the independent reference
+    HUMAN_TARGETED = "human-targeted"  # MT against its post-edit, or the keys it took
+    DA = "direct assessment"  # optional human adequacy score of the segment
+    GOLD = "task measurement"  # the measured effort every other metric is judged by
+
+
+@dataclass(frozen=True)
+class Metric:
+    name: str
+    polarity: Polarity
+    kind: MetricKind
+
+    @property
+    def field(self) -> str:
+        """The SegmentScores attribute and scores-file column holding the values."""
+        return self.name.lower()
+
+    @property
+    def loo(self) -> bool:
+        """Leave-one-out ranks every metric except the reference-based ones."""
+        return self.kind is not MetricKind.REFERENCE
+
+
+# The fixed metric vocabulary, in the order of every output table.
+METRICS: tuple[Metric, ...] = (
+    Metric("TER", Polarity.HIGHER_IS_MORE_EFFORT, MetricKind.REFERENCE),
+    Metric("BLEU", Polarity.LOWER_IS_MORE_EFFORT, MetricKind.REFERENCE),
+    Metric("METEOR", Polarity.LOWER_IS_MORE_EFFORT, MetricKind.REFERENCE),
+    Metric("DA", Polarity.LOWER_IS_MORE_EFFORT, MetricKind.DA),
+    Metric("HTER", Polarity.HIGHER_IS_MORE_EFFORT, MetricKind.HUMAN_TARGETED),
+    Metric("HBLEU", Polarity.LOWER_IS_MORE_EFFORT, MetricKind.HUMAN_TARGETED),
+    Metric("HMETEOR", Polarity.LOWER_IS_MORE_EFFORT, MetricKind.HUMAN_TARGETED),
+    Metric("KEYS_PER_CHAR", Polarity.HIGHER_IS_MORE_EFFORT, MetricKind.HUMAN_TARGETED),
+    Metric("PETPW", Polarity.HIGHER_IS_MORE_EFFORT, MetricKind.GOLD),
+)
+GOLD_METRIC = next(m for m in METRICS if m.kind is MetricKind.GOLD)
+DA_METRIC = next(m for m in METRICS if m.kind is MetricKind.DA)
+
+# Effort orientation of each metric, by name.
+METRIC_POLARITY: dict[str, Polarity] = {m.name: m.polarity for m in METRICS}
 
 
 @dataclass(frozen=True)

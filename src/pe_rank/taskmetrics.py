@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
-from .corpus import PESession, Segment, mt_char_count, tokenize
+from .corpus import ALL_ANNOTATORS, PESession, Segment, mt_char_count, tokenize
+from .rankeval import DA_METRIC
 from .textmetrics import bleu, meteor_lite, ter
-
-ALL_ANNOTATORS = "ALL"
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,22 @@ def keys_per_char(keystrokes: int, mt_char_count: int) -> float:
     return keystrokes / mt_char_count
 
 
+def _scores(seg: Segment, hyp: list[str], annotator_id: str, **session_fields) -> SegmentScores:
+    """One scores row: the given session fields, plus DA and the metrics against
+    the independent reference, which need only the segment."""
+    ind_ref = tokenize(seg.reference)
+    return SegmentScores(
+        segment_id=seg.id,
+        annotator_id=annotator_id,
+        mt_tokens=len(hyp),
+        ter=ter(hyp, ind_ref).score,
+        bleu=bleu(hyp, ind_ref),
+        meteor=meteor_lite(hyp, ind_ref).score,
+        da=seg.da,
+        **session_fields,
+    )
+
+
 def score_segment(seg: Segment, session: PESession) -> SegmentScores:
     """All metrics for one post-editing session.
 
@@ -71,34 +86,40 @@ def score_segment(seg: Segment, session: PESession) -> SegmentScores:
         )
     hyp = tokenize(seg.mt)
     pe_ref = tokenize(session.pe_text)
-    ind_ref = tokenize(seg.reference)
-    return SegmentScores(
-        segment_id=seg.id,
-        annotator_id=session.annotator_id,
-        mt_tokens=len(hyp),
+    return _scores(
+        seg,
+        hyp,
+        session.annotator_id,
         pe_time_sec=session.pe_time_sec,
         petpw=petpw(session.pe_time_sec, len(hyp)),
         keys_per_char=keys_per_char(session.keystrokes, mt_char_count(seg.mt)),
         hter=ter(hyp, pe_ref).score,
         hbleu=bleu(hyp, pe_ref),
         hmeteor=meteor_lite(hyp, pe_ref).score,
-        ter=ter(hyp, ind_ref).score,
-        bleu=bleu(hyp, ind_ref),
-        meteor=meteor_lite(hyp, ind_ref).score,
-        da=seg.da,
     )
 
 
-_AVERAGED_FIELDS = (
-    "pe_time_sec",
-    "petpw",
-    "keys_per_char",
-    "hter",
-    "hbleu",
-    "hmeteor",
-    "ter",
-    "bleu",
-    "meteor",
+def reference_scores(seg: Segment) -> SegmentScores:
+    """The ALL row of a segment without sessions: reference-based metrics and DA."""
+    return _scores(
+        seg,
+        tokenize(seg.mt),
+        ALL_ANNOTATORS,
+        pe_time_sec=None,
+        petpw=None,
+        keys_per_char=None,
+        hter=None,
+        hbleu=None,
+        hmeteor=None,
+    )
+
+
+# Every float field except DA, which belongs to the segment, not the annotator.
+# Annotations are strings here (postponed evaluation).
+_AVERAGED_FIELDS = tuple(
+    f.name
+    for f in fields(SegmentScores)
+    if f.type.startswith("float") and f.name != DA_METRIC.field
 )
 
 

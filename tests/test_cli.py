@@ -114,24 +114,6 @@ def test_score_round_trips_through_reader(fixture_paths, tmp_path):
     assert read_scores(path) == rows
 
 
-def test_score_parallel_matches_serial(fixture_paths, monkeypatch):
-    corpus = load_corpus(*fixture_paths)
-    monkeypatch.setenv("PE_RANK_THREADS", "1")
-    serial = score_corpus(corpus)
-    monkeypatch.setenv("PE_RANK_THREADS", "4")
-    parallel = score_corpus(corpus)
-    assert serial == parallel
-
-
-def test_threads_env_must_be_positive_int(fixture_paths, monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("PE_RANK_THREADS", "zero")
-    code = main(
-        ["score", "--segments", str(fixture_paths[0]), "--sessions", str(fixture_paths[1]), "--out", str(tmp_path / "s.tsv")]
-    )
-    assert code == 1
-    assert "PE_RANK_THREADS" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # rank-eval
 
