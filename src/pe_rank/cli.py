@@ -93,17 +93,17 @@ def write_scores(rows: Sequence[SegmentScores], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_cell(raw: str, column: str, kind: str, lineno: int):
+def _parse_cell(raw: str, column: str, annotation: str, lineno: int):
     """One scores-file cell, parsed by its annotation: str, int, float or float | None."""
-    if kind == "str":
+    if annotation == "str":
         return unescape_field(raw)
-    if kind == "int":
+    if annotation == "int":
         try:
             return int(raw)
         except ValueError:
             raise CliError(f"scores line {lineno}: non-numeric {column}") from None
     if raw == "":
-        if kind == "float":
+        if annotation == "float":
             raise CliError(f"scores line {lineno}: missing reference-based metric")
         return None
     try:
@@ -115,14 +115,17 @@ def _parse_cell(raw: str, column: str, kind: str, lineno: int):
     return value
 
 
-def _data_lines(path: str | Path) -> Iterator[str]:
-    """The non-empty lines of a file, split on LF only, read one at a time."""
+def _data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-empty line of a file, split on LF only.
+
+    Lines are read one at a time, so a large file's text is never held whole.
+    """
     try:
         with open(path, encoding="utf-8", newline="\n") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if line:
-                    yield line
+                    yield lineno, line
     except OSError as exc:
         raise CliError(f"cannot read scores file: {exc}") from None
 
@@ -134,7 +137,7 @@ def read_scores(path: str | Path) -> list[SegmentScores]:
     annotator) pair, naming the line.
     """
     lines = _data_lines(path)
-    header = next(lines, None)
+    _, header = next(lines, (0, None))
     if header is None:
         raise CliError("scores file is empty")
     if tuple(header.split("\t")) != SCORES_HEADER:
@@ -144,14 +147,14 @@ def read_scores(path: str | Path) -> list[SegmentScores]:
         )
     rows: list[SegmentScores] = []
     seen: dict[str, set[str]] = {}  # annotator -> segment ids read so far
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in lines:
         cells = line.split("\t")
         if len(cells) != len(SCORES_HEADER):
             raise CliError(f"scores line {lineno}: wrong field count")
         row = SegmentScores(
             *(
-                _parse_cell(raw, column, kind, lineno)
-                for raw, (column, kind) in zip(cells, _COLUMNS)
+                _parse_cell(raw, column, annotation, lineno)
+                for raw, (column, annotation) in zip(cells, _COLUMNS)
             )
         )
         segments = seen.setdefault(row.annotator_id, set())

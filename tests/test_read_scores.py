@@ -69,3 +69,11 @@ def test_gap_in_one_annotator_fails_only_views_that_need_it(tmp_path, fixture_pa
     assert _run(tmp_path, path, ["rank-eval", "--annotator", "ANN1", "--out", "a1.tsv"]) == 1
     assert "annotator 'ANN1': missing segment 's1'" in capsys.readouterr().err
     assert _run(tmp_path, path, ["loo", "--out", "loo.tsv"]) == 1
+
+
+def test_line_numbers_count_blank_lines(tmp_path, fixture_paths):
+    path, lines = _scores(tmp_path, fixture_paths)
+    lines = _set_cell(lines, 5, "ter", "x")
+    path.write_text("\n".join(lines[:2] + ["", ""] + lines[2:]) + "\n", encoding="utf-8")
+    with pytest.raises(CliError, match="line 7: non-numeric ter"):
+        read_scores(path)
