@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
-from .corpus import ALL_ANNOTATORS, PESession, Segment, mt_char_count, tokenize
+from .corpus import ALL_ANNOTATORS, Corpus, PESession, Segment, mt_char_count, tokenize
 from .rankeval import DA_METRIC
 from .textmetrics import bleu, meteor_lite, ter
 
@@ -58,62 +58,6 @@ def keys_per_char(keystrokes: int, mt_char_count: int) -> float:
     return keystrokes / mt_char_count
 
 
-def _scores(seg: Segment, hyp: list[str], annotator_id: str, **session_fields) -> SegmentScores:
-    """One scores row: the given session fields, plus DA and the metrics against
-    the independent reference, which need only the segment."""
-    ind_ref = tokenize(seg.reference)
-    return SegmentScores(
-        segment_id=seg.id,
-        annotator_id=annotator_id,
-        mt_tokens=len(hyp),
-        ter=ter(hyp, ind_ref).score,
-        bleu=bleu(hyp, ind_ref),
-        meteor=meteor_lite(hyp, ind_ref).score,
-        da=seg.da,
-        **session_fields,
-    )
-
-
-def score_segment(seg: Segment, session: PESession) -> SegmentScores:
-    """All metrics for one post-editing session.
-
-    Human-targeted metrics use the PE'ed text as the reference; plain
-    TER/BLEU/METEOR use the independent reference.
-    """
-    if session.segment_id != seg.id:
-        raise ValueError(
-            f"session segment '{session.segment_id}' does not match segment '{seg.id}'"
-        )
-    hyp = tokenize(seg.mt)
-    pe_ref = tokenize(session.pe_text)
-    return _scores(
-        seg,
-        hyp,
-        session.annotator_id,
-        pe_time_sec=session.pe_time_sec,
-        petpw=petpw(session.pe_time_sec, len(hyp)),
-        keys_per_char=keys_per_char(session.keystrokes, mt_char_count(seg.mt)),
-        hter=ter(hyp, pe_ref).score,
-        hbleu=bleu(hyp, pe_ref),
-        hmeteor=meteor_lite(hyp, pe_ref).score,
-    )
-
-
-def reference_scores(seg: Segment) -> SegmentScores:
-    """The ALL row of a segment without sessions: reference-based metrics and DA."""
-    return _scores(
-        seg,
-        tokenize(seg.mt),
-        ALL_ANNOTATORS,
-        pe_time_sec=None,
-        petpw=None,
-        keys_per_char=None,
-        hter=None,
-        hbleu=None,
-        hmeteor=None,
-    )
-
-
 # Every float field except DA, which belongs to the segment, not the annotator.
 # Annotations are strings here (postponed evaluation).
 _AVERAGED_FIELDS = tuple(
@@ -145,3 +89,73 @@ def all_view(scores: Sequence[SegmentScores]) -> SegmentScores:
         annotator_id=ALL_ANNOTATORS,
         **means,
     )
+
+
+def _segment_rows(seg: Segment, sessions: Sequence[PESession]) -> list[SegmentScores]:
+    """One row per session of a segment, in order, then the segment's ALL row.
+
+    TER/BLEU/METEOR against the independent reference are scored once for all
+    sessions. The ALL row is the `all_view` of the session rows, so even a
+    value they share is an `fsum` mean, which can differ from it in the last
+    bit; a segment without sessions gets the reference-only row.
+    """
+    for session in sessions:
+        if session.segment_id != seg.id:
+            raise ValueError(
+                f"session segment '{session.segment_id}' does not match segment '{seg.id}'"
+            )
+    hyp = tokenize(seg.mt)
+    ind_ref = tokenize(seg.reference)
+    reference = SegmentScores(
+        segment_id=seg.id,
+        annotator_id=ALL_ANNOTATORS,
+        mt_tokens=len(hyp),
+        pe_time_sec=None,
+        petpw=None,
+        keys_per_char=None,
+        hter=None,
+        hbleu=None,
+        hmeteor=None,
+        ter=ter(hyp, ind_ref).score,
+        bleu=bleu(hyp, ind_ref),
+        meteor=meteor_lite(hyp, ind_ref).score,
+        da=seg.da,
+    )
+    rows = []
+    for session in sessions:
+        pe_ref = tokenize(session.pe_text)
+        rows.append(
+            replace(
+                reference,
+                annotator_id=session.annotator_id,
+                pe_time_sec=session.pe_time_sec,
+                petpw=petpw(session.pe_time_sec, len(hyp)),
+                keys_per_char=keys_per_char(session.keystrokes, mt_char_count(seg.mt)),
+                hter=ter(hyp, pe_ref).score,
+                hbleu=bleu(hyp, pe_ref),
+                hmeteor=meteor_lite(hyp, pe_ref).score,
+            )
+        )
+    rows.append(all_view(rows) if rows else reference)
+    return rows
+
+
+def score_segment(seg: Segment, session: PESession) -> SegmentScores:
+    """All metrics for one post-editing session.
+
+    Human-targeted metrics use the PE'ed text as the reference; plain
+    TER/BLEU/METEOR use the independent reference.
+    """
+    return _segment_rows(seg, [session])[0]
+
+
+def score_corpus(corpus: Corpus) -> list[SegmentScores]:
+    """Score every (segment, annotator) pair plus an ALL row per segment.
+
+    Rows come back sorted by segment id, then annotator id, with the ALL row
+    last within each segment. Segments without sessions get a reference-only
+    ALL row.
+    """
+    sessions_index = corpus.sessions_by_segment()
+    segments = sorted(corpus.segments, key=lambda s: s.id)
+    return [row for seg in segments for row in _segment_rows(seg, sessions_index[seg.id])]

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: full-matrix dynamic programming,
 breadth-first search over shift sequences, exhaustive alignment enumeration,
 and plain rank-then-Pearson arithmetic. None of it shares code with the
-package so a bug cannot hide on both sides of a comparison.
+package so a bug cannot hide on both sides of a comparison, except
+`score_corpus_per_session`: it checks how scoring fans out over sessions,
+not the metrics, so it calls the package's metric functions.
 """
 
 from __future__ import annotations
@@ -161,3 +163,66 @@ def brute_force_min_satra(times: Sequence[float], lengths: Sequence[int]) -> flo
         satra_directly([times[i] for i in perm], [lengths[i] for i in perm])
         for perm in itertools.permutations(range(n))
     )
+
+
+def score_corpus_per_session(corpus) -> list:
+    """Scores rows built one session at a time, with nothing shared.
+
+    TER/BLEU/METEOR against the independent reference are recomputed for
+    every session; a segment's ALL row is the `all_view` of its session rows,
+    or a reference-only row when it has none. Rows are sorted by segment id,
+    then annotator id, with the ALL row last.
+    """
+    from pe_rank.corpus import ALL_ANNOTATORS, mt_char_count, tokenize
+    from pe_rank.taskmetrics import SegmentScores, all_view, keys_per_char, petpw
+    from pe_rank.textmetrics import bleu, meteor_lite, ter
+
+    out = []
+    for seg in sorted(corpus.segments, key=lambda s: s.id):
+        sessions = [s for s in corpus.sessions if s.segment_id == seg.id]
+        rows = []
+        for sess in sorted(sessions, key=lambda s: s.annotator_id):
+            hyp = tokenize(seg.mt)
+            ref = tokenize(seg.reference)
+            pe = tokenize(sess.pe_text)
+            rows.append(
+                SegmentScores(
+                    segment_id=seg.id,
+                    annotator_id=sess.annotator_id,
+                    mt_tokens=len(hyp),
+                    pe_time_sec=sess.pe_time_sec,
+                    petpw=petpw(sess.pe_time_sec, len(hyp)),
+                    keys_per_char=keys_per_char(sess.keystrokes, mt_char_count(seg.mt)),
+                    hter=ter(hyp, pe).score,
+                    hbleu=bleu(hyp, pe),
+                    hmeteor=meteor_lite(hyp, pe).score,
+                    ter=ter(hyp, ref).score,
+                    bleu=bleu(hyp, ref),
+                    meteor=meteor_lite(hyp, ref).score,
+                    da=seg.da,
+                )
+            )
+        if rows:
+            rows.append(all_view(rows))
+        else:
+            hyp = tokenize(seg.mt)
+            ref = tokenize(seg.reference)
+            rows.append(
+                SegmentScores(
+                    segment_id=seg.id,
+                    annotator_id=ALL_ANNOTATORS,
+                    mt_tokens=len(hyp),
+                    pe_time_sec=None,
+                    petpw=None,
+                    keys_per_char=None,
+                    hter=None,
+                    hbleu=None,
+                    hmeteor=None,
+                    ter=ter(hyp, ref).score,
+                    bleu=bleu(hyp, ref),
+                    meteor=meteor_lite(hyp, ref).score,
+                    da=seg.da,
+                )
+            )
+        out.extend(rows)
+    return out

@@ -6,12 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from pe_rank.analysis import build_stats_table, loo_gold
 from pe_rank.cli import (
     build_loo_table,
     build_rank_table,
     build_tails,
-    build_stats_table,
-    loo_gold,
     main,
     read_scores,
     score_corpus,
@@ -425,3 +424,18 @@ def test_report_stage_errors_name_the_stage(tmp_path, capsys):
     code = main(["report", "--segments", str(segments), "--sessions", str(sessions), "--out-dir", str(tmp_path / "r")])
     assert code == 1
     assert "rank-eval:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["no-sessions", "missing-segments"])
+def test_failed_report_writes_nothing(tmp_path, capsys, case):
+    segments, sessions = _write_corpus(
+        tmp_path, ["s1\tsys\tsrc\tmt here\tref here\t0.1"], []
+    )
+    if case == "missing-segments":
+        segments = tmp_path / "nope.tsv"
+    out_dir = tmp_path / "report"
+    code = main(["report", "--segments", str(segments), "--sessions", str(sessions), "--out-dir", str(out_dir)])
+    assert code == 1
+    stage = "rank-eval:" if case == "no-sessions" else "load:"
+    assert stage in capsys.readouterr().err
+    assert not out_dir.exists()

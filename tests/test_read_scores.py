@@ -48,6 +48,28 @@ def test_non_finite_cell_fails_naming_line_and_column(tmp_path, fixture_paths, c
         assert "line 3" in err and column in err
 
 
+@pytest.mark.parametrize(
+    "column, raw",
+    [
+        ("mt_tokens", "0"),
+        ("mt_tokens", "-2"),
+        ("pe_time_sec", "-1.0"),
+        ("petpw", "-1.0"),
+        ("keys_per_char", "-0.25"),
+    ],
+)
+def test_out_of_range_cell_fails_naming_line_and_column(tmp_path, fixture_paths, capsys, column, raw):
+    path, lines = _scores(tmp_path, fixture_paths)
+    assert lines[1].startswith("s1\tANN0")
+    path.write_text("\n".join(_set_cell(lines, 2, column, raw)) + "\n", encoding="utf-8")
+    with pytest.raises(CliError, match=f"line 2: {column} '{raw}' below minimum"):
+        read_scores(path)
+    for argv in COMMANDS + (["rank-eval", "--annotator", "ANN0", "--out", "rank0.tsv"],):
+        assert _run(tmp_path, path, argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "line 2" in err and column in err
+
+
 def test_duplicate_row_fails_naming_line(tmp_path, fixture_paths, capsys):
     path, lines = _scores(tmp_path, fixture_paths)
     lines.append(lines[4])  # s2 ANN0 again, as line 11

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pe_rank.corpus import PESession, Segment
-from pe_rank.taskmetrics import SegmentScores, all_view, keys_per_char, petpw, score_segment
+from pe_rank.corpus import Corpus, PESession, Segment
+from pe_rank.taskmetrics import (
+    SegmentScores,
+    all_view,
+    keys_per_char,
+    petpw,
+    score_corpus,
+    score_segment,
+)
+
+from oracles import score_corpus_per_session
 
 
 def test_petpw_basic():
@@ -126,3 +135,39 @@ def test_all_view_order_invariant(perm):
     ]
     shuffled = [rows[i] for i in perm]
     assert all_view(shuffled) == all_view(rows)
+
+
+_WORDS = st.sampled_from(["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "."])
+_TEXT = st.lists(_WORDS, min_size=1, max_size=8).map(" ".join)
+
+
+@st.composite
+def _corpora(draw) -> Corpus:
+    """1-4 segments, 1-3 annotators, each segment post-edited by any subset of them."""
+    annotators = [f"A{i}" for i in range(draw(st.integers(1, 3)))]
+    segments = []
+    sessions = []
+    for i in range(draw(st.integers(1, 4))):
+        da = draw(st.none() | st.floats(-2, 2))
+        seg = Segment(f"s{i}", "sys", "src", draw(_TEXT), draw(_TEXT), da)
+        segments.append(seg)
+        for annotator in draw(st.lists(st.sampled_from(annotators), unique=True)):
+            time = draw(st.floats(0.5, 60))
+            sessions.append(PESession(seg.id, annotator, draw(_TEXT), time, draw(st.integers(0, 40))))
+    return Corpus(tuple(segments), tuple(sessions), frozenset(annotators))
+
+
+# TER 1/5 against the reference, shared by three sessions: fsum([0.2] * 3) / 3
+# is not 0.2, so an ALL row that copied the shared value would differ.
+_SHARED_TER = Corpus(
+    (Segment("s0", "sys", "src", "the cat sat on mat", "the cat sat on the"),),
+    tuple(PESession("s0", a, "the cat sat", 3.0, 4) for a in ("A0", "A1", "A2")),
+    frozenset({"A0", "A1", "A2"}),
+)
+
+
+@settings(max_examples=60)
+@given(_corpora())
+@example(_SHARED_TER)
+def test_score_corpus_matches_per_session_oracle(corpus):
+    assert score_corpus(corpus) == score_corpus_per_session(corpus)
