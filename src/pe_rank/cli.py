@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .analysis import (
     ScoreViews,
@@ -32,35 +31,18 @@ from .analysis import (
     build_tails,
     stage,
 )
-from .corpus import escape_field, load_corpus, unescape_field
+from .corpus import CorpusError, format_tsv, load_corpus, read_tsv
 from .taskmetrics import SegmentScores, score_corpus
 from .textmetrics import ter  # noqa: F401 - perfbench/test_generate.py traces this binding
 
-# Scores-file columns: the SegmentScores fields, with their annotation strings
-# and smallest values (a segment has at least one MT word, and no time, PETpW
-# or keystroke rate is negative).
-_MINIMUM = {"mt_tokens": 1, "pe_time_sec": 0.0, "petpw": 0.0, "keys_per_char": 0.0}
-_COLUMNS = tuple((f.name, f.type, _MINIMUM.get(f.name)) for f in fields(SegmentScores))
-SCORES_HEADER = tuple(name for name, _, _ in _COLUMNS)
+SCORES_HEADER = tuple(f.name for f in fields(SegmentScores))
 
-
-class CliError(ValueError):
-    """Bad input to a command; reported on stderr with exit status 1."""
+# The one input-error class, under the name this module's callers know.
+CliError = CorpusError
 
 
 # ---------------------------------------------------------------------------
 # scores file
-
-
-def _fmt(value) -> str:
-    """One output cell; None is an empty cell."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return escape_field(str(value))
 
 
 def write_scores(rows: Sequence[SegmentScores], path: str | Path) -> None:
@@ -68,80 +50,22 @@ def write_scores(rows: Sequence[SegmentScores], path: str | Path) -> None:
 
 
 def _write_tsv(path: Path, header: Sequence[str], rows: Iterable[dict]) -> None:
-    """One line per row dict, holding its values under the header's keys."""
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(_fmt(row[key]) for key in header) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _parse_cell(raw: str, column: str, annotation: str, minimum: float | None, lineno: int):
-    """One scores-file cell, parsed by its annotation: str, int, float or float | None."""
-    if annotation == "str":
-        return unescape_field(raw)
-    if annotation == "int":
-        try:
-            value = int(raw)
-        except ValueError:
-            raise CliError(f"scores line {lineno}: non-numeric {column}") from None
-    elif raw == "":
-        if annotation == "float":
-            raise CliError(f"scores line {lineno}: missing reference-based metric")
-        return None
-    else:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise CliError(f"scores line {lineno}: non-numeric {column} {raw!r}") from None
-        if not math.isfinite(value):
-            raise CliError(f"scores line {lineno}: non-finite {column} {raw!r}")
-    if minimum is not None and value < minimum:
-        raise CliError(f"scores line {lineno}: {column} {raw!r} below minimum {minimum}")
-    return value
-
-
-def _data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each non-empty line of a file, split on LF only.
-
-    Lines are read one at a time, so a large file's text is never held whole.
-    """
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if line:
-                    yield lineno, line
-    except OSError as exc:
-        raise CliError(f"cannot read scores file: {exc}") from None
+    path.write_text(format_tsv(header, rows), encoding="utf-8")
 
 
 def read_scores(path: str | Path) -> list[SegmentScores]:
     """Parse a scores file written by `score` (or an equivalent producer).
 
-    Rejects non-finite numbers, values below a column's minimum and a second
-    row for the same (segment, annotator) pair, naming the line.
+    Beyond the cell and header checks of `read_tsv`, rejects a second row for
+    the same (segment, annotator) pair, naming the line.
     """
-    lines = _data_lines(path)
-    _, header = next(lines, (0, None))
-    if header is None:
-        raise CliError("scores file is empty")
-    if tuple(header.split("\t")) != SCORES_HEADER:
-        raise CliError("scores file header mismatch: expected " + ", ".join(SCORES_HEADER))
     rows: list[SegmentScores] = []
     seen: dict[str, set[str]] = {}  # annotator -> segment ids read so far
-    for lineno, line in lines:
-        cells = line.split("\t")
-        if len(cells) != len(SCORES_HEADER):
-            raise CliError(f"scores line {lineno}: wrong field count")
-        row = SegmentScores(
-            *(
-                _parse_cell(raw, column, annotation, minimum, lineno)
-                for raw, (column, annotation, minimum) in zip(cells, _COLUMNS)
-            )
-        )
+    for lineno, row in read_tsv(path, SegmentScores, "scores"):
         segments = seen.setdefault(row.annotator_id, set())
         if row.segment_id in segments:
             raise CliError(
-                f"scores line {lineno}: duplicate row for segment "
+                f"scores: line {lineno}: duplicate row for segment "
                 f"'{row.segment_id}', annotator '{row.annotator_id}'"
             )
         segments.add(row.segment_id)
@@ -229,6 +153,14 @@ def cmd_report(args: argparse.Namespace) -> None:
     )
 
 
+def alpha(text: str) -> float:
+    """A significance level: a number strictly between 0 and 1 (argparse type)."""
+    value = float(text)  # argparse reports a ValueError as "invalid alpha value"
+    if not 0 < value < 1:  # also true for NaN
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number strictly between 0 and 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pe-rank",
@@ -246,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="scores.tsv path")
     p.add_argument("--annotator", required=True, help="annotator id or ALL")
     p.add_argument("--out", required=True, help="output TSV path")
-    p.add_argument("--williams-alpha", type=float, default=0.01)
+    p.add_argument("--williams-alpha", type=alpha, default=0.01)
     p.set_defaults(fn=cmd_rank_eval)
 
     p = sub.add_parser("loo", help="leave-one-out evaluation per annotator")
@@ -266,16 +198,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", required=True)
     p.add_argument("--sessions", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--williams-alpha", type=float, default=0.01)
-    p.add_argument("--ks-alpha", type=float, default=0.05)
+    p.add_argument("--williams-alpha", type=alpha, default=0.01)
+    p.add_argument("--ks-alpha", type=alpha, default=0.05)
     p.set_defaults(fn=cmd_report)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error (already printed)
+        return 1 if exc.code else 0  # 0 after --help
     try:
         args.fn(args)
     except (ValueError, OSError) as exc:

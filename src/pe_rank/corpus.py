@@ -4,28 +4,28 @@ A corpus couples translation segments (source, MT output, independent
 reference, optional DA score) with post-editing sessions (the PE'ed text, the
 seconds it took, and the keystrokes pressed). Both sides arrive as UTF-8
 tab-separated files; text fields are escaped so they never contain raw tabs
-or newlines on disk.
+or newlines on disk. `read_tsv` and `format_tsv` are the package's only TSV
+reader and writer; the scores file goes through them too.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 TokenList = list[str]
-
-SEGMENT_REQUIRED = ("id", "system_id", "source", "mt", "reference")
-SEGMENT_OPTIONAL = ("da",)
-SESSION_REQUIRED = ("segment_id", "annotator_id", "pe_text", "pe_time_sec", "keystrokes")
+T = TypeVar("T")
 
 # Annotator label reserved for the averaged view in score files.
 ALL_ANNOTATORS = "ALL"
 
 
 class CorpusError(ValueError):
-    """Malformed corpus file or violated corpus invariant."""
+    """Malformed input file (corpus or scores) or violated corpus invariant."""
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ class Corpus:
     segments: tuple[Segment, ...]
     sessions: tuple[PESession, ...]
     annotators: frozenset[str]
-
-    def segment_by_id(self) -> dict[str, Segment]:
-        return {s.id: s for s in self.segments}
 
     def sessions_by_segment(self) -> dict[str, list[PESession]]:
         index: dict[str, list[PESession]] = {s.id: [] for s in self.segments}
@@ -120,82 +117,128 @@ def escape_field(value: str) -> str:
 
 
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_CODE = re.compile(r"\\([\\tnr])")
 
 
 def unescape_field(value: str) -> str:
+    """Inverse of escape_field; a backslash before any other character stays."""
     if "\\" not in value:
         return value
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value) and value[i + 1] in _UNESCAPES:
-            out.append(_UNESCAPES[value[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_CODE.sub(lambda m: _UNESCAPES[m[1]], value)
 
 
-def _iter_lines(source: str | Path | Iterable[str]) -> Iterator[str]:
+# Smallest value of a numeric column, in any file that has it: a segment has at
+# least one MT word, and no time, keystroke count, PETpW or keystroke rate is
+# negative.
+MINIMUM = {"mt_tokens": 1, "keystrokes": 0, "pe_time_sec": 0.0, "petpw": 0.0, "keys_per_char": 0.0}
+
+
+def _cell_parser(column: str, annotation: str) -> Callable[[str], object]:
+    """Parser of one column's cells, chosen by its dataclass field annotation.
+
+    `str` cells are unescaped; `int`, `float` and `float | None` cells must be
+    finite numbers no smaller than the column's MINIMUM, and an empty
+    `float | None` cell is None. Raises ValueError naming the column.
+    """
+    if annotation == "str":
+        return unescape_field
+    number = {"int": int, "float": float, "float | None": float}[annotation]
+    nullable = annotation == "float | None"
+    minimum = MINIMUM.get(column)
+
+    def parse(raw: str):
+        if nullable and raw == "":
+            return None
+        try:
+            value = number(raw)
+        except ValueError:
+            raise ValueError(f"non-numeric {column} {raw!r}") from None
+        if number is float and not math.isfinite(value):
+            raise ValueError(f"non-finite {column} {raw!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{column} {raw!r} below minimum {minimum}")
+        return value
+
+    return parse
+
+
+def _lines(source: str | Path | Iterable[str]) -> Iterator[str]:
+    """Lines without their LF and one trailing CR, read one at a time."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield from fh
+        with open(source, encoding="utf-8", newline="\n") as fh:
+            yield from _lines(fh)
     else:
-        yield from source
+        for raw in source:
+            yield raw.removesuffix("\n").removesuffix("\r")
 
 
-def _parse_table(
+def read_tsv(
     source: str | Path | Iterable[str],
-    required: tuple[str, ...],
-    optional: tuple[str, ...],
+    cls: type[T],
     label: str,
-) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield (line_number, row_dict) for each data row; line 1 is the header."""
-    lines = _iter_lines(source)
-    header: list[str] | None = None
-    lineno = 0
-    for raw in lines:
-        lineno += 1
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        if header is None:
-            header = line.split("\t")
-            seen: set[str] = set()
-            for col in header:
-                if col in seen:
-                    raise CorpusError(f"{label}: duplicate column '{col}'")
-                seen.add(col)
-            for col in required:
-                if col not in header:
-                    raise CorpusError(f"{label}: missing required column '{col}'")
-            known = set(required) | set(optional)
-            for col in header:
-                if col not in known:
-                    raise CorpusError(f"{label}: unexpected column '{col}'")
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise CorpusError(
-                f"{label}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
-        yield lineno, dict(zip(header, fields))
+    optional: Sequence[str] = (),
+) -> Iterator[tuple[int, T]]:
+    """Yield (line number, cls instance) for each data row of a TSV file.
+
+    The first non-blank line is the header: one column per field of the
+    dataclass `cls`, in any order; a column named in `optional` may be absent
+    and then reads as empty cells. Blank lines are skipped but counted, so the
+    line number of every error is the line in the file. Raises CorpusError
+    naming `label`, and the line for a bad row.
+    """
+    lines = enumerate(_lines(source), start=1)
+    header = next((line.split("\t") for _, line in lines if line), None)
     if header is None:
         raise CorpusError(f"{label}: empty input (header row required)")
+    seen: set[str] = set()
+    for col in header:
+        if col in seen:
+            raise CorpusError(f"{label}: duplicate column '{col}'")
+        seen.add(col)
+    plan = []  # (cell index, or None for an absent column; parser), in field order
+    for f in fields(cls):
+        if f.name not in seen and f.name not in optional:
+            raise CorpusError(f"{label}: missing required column '{f.name}'")
+        index = header.index(f.name) if f.name in seen else None
+        plan.append((index, _cell_parser(f.name, f.type)))
+    known = {f.name for f in fields(cls)}
+    for col in header:
+        if col not in known:
+            raise CorpusError(f"{label}: unexpected column '{col}'")
+    for lineno, line in lines:
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise CorpusError(
+                f"{label}: line {lineno}: expected {len(header)} fields, got {len(cells)}"
+            )
+        try:
+            row = cls(*[parse("" if i is None else cells[i]) for i, parse in plan])
+        except ValueError as exc:
+            raise CorpusError(f"{label}: line {lineno}: {exc}") from None
+        yield lineno, row
 
 
-def _parse_float(raw: str, label: str, lineno: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CorpusError(
-            f"{label}: line {lineno}: non-numeric {column} {raw!r}"
-        ) from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise CorpusError(f"{label}: line {lineno}: non-finite {column} {raw!r}")
-    return value
+def format_tsv(header: Sequence[str], rows: Iterable[Mapping]) -> str:
+    """TSV text: the header, then each row's values under the header's keys.
+
+    None is an empty cell, a bool is `true`/`false`, a float is its repr and
+    anything else is its escaped str, as `read_tsv` reads it back.
+    """
+    lines = ["\t".join(header)]
+    lines.extend("\t".join(_format_cell(row[key]) for key in header) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return escape_field(str(value))
 
 
 def load_corpus(
@@ -204,88 +247,45 @@ def load_corpus(
 ) -> Corpus:
     """Load and cross-validate the two corpus files.
 
-    Raises CorpusError naming the offending id, column, or line for duplicate
-    segment ids, missing columns, unparseable numbers, sessions that reference
-    unknown segments, and empty text fields.
+    Raises CorpusError naming the file, the line and, where one is at fault,
+    the id or column: for malformed headers and cells (see `read_tsv`), empty
+    or duplicate ids, sessions that reference unknown segments or the reserved
+    annotator id, and empty text fields.
     """
-    segments: list[Segment] = []
-    by_id: dict[str, Segment] = {}
-    for lineno, row in _parse_table(
-        segments_source, SEGMENT_REQUIRED, SEGMENT_OPTIONAL, "segments"
-    ):
-        sid = unescape_field(row["id"])
-        if not sid.strip():
-            raise CorpusError(f"segments: line {lineno}: empty segment id")
-        if sid in by_id:
-            raise CorpusError(f"segments: duplicate segment id '{sid}'")
-        mt = unescape_field(row["mt"])
-        reference = unescape_field(row["reference"])
-        if not mt.strip():
-            raise CorpusError(f"segments: segment '{sid}': empty mt text")
-        if not reference.strip():
-            raise CorpusError(f"segments: segment '{sid}': empty reference text")
-        da_raw = row.get("da", "")
-        da = _parse_float(da_raw, "segments", lineno, "da") if da_raw else None
-        seg = Segment(
-            id=sid,
-            system_id=unescape_field(row["system_id"]),
-            source=unescape_field(row["source"]),
-            mt=mt,
-            reference=reference,
-            da=da,
+    segments: dict[str, Segment] = {}
+    for lineno, seg in read_tsv(segments_source, Segment, "segments", optional=("da",)):
+        problem = (
+            "empty segment id" if not seg.id.strip()
+            else f"duplicate segment id '{seg.id}'" if seg.id in segments
+            else f"segment '{seg.id}': empty mt text" if not seg.mt.strip()
+            else f"segment '{seg.id}': empty reference text" if not seg.reference.strip()
+            else f"segment '{seg.id}': mt tokenizes to nothing" if not tokenize(seg.mt)
+            else None
         )
-        if not tokenize(seg.mt):
-            raise CorpusError(f"segments: segment '{sid}': mt tokenizes to nothing")
-        segments.append(seg)
-        by_id[sid] = seg
+        if problem:
+            raise CorpusError(f"segments: line {lineno}: {problem}")
+        segments[seg.id] = seg
 
     sessions: list[PESession] = []
     seen_pairs: set[tuple[str, str]] = set()
-    for lineno, row in _parse_table(sessions_source, SESSION_REQUIRED, (), "sessions"):
-        sid = unescape_field(row["segment_id"])
-        if sid not in by_id:
-            raise CorpusError(
-                f"sessions: line {lineno}: unknown segment id '{sid}'"
-            )
-        annotator = unescape_field(row["annotator_id"])
-        if not annotator.strip():
-            raise CorpusError(f"sessions: line {lineno}: empty annotator id")
-        if annotator == ALL_ANNOTATORS:
-            raise CorpusError(
-                f"sessions: line {lineno}: annotator id '{ALL_ANNOTATORS}' is reserved"
-            )
-        pair = (sid, annotator)
-        if pair in seen_pairs:
-            raise CorpusError(
-                f"sessions: duplicate session for segment '{sid}', annotator '{annotator}'"
-            )
-        seen_pairs.add(pair)
-        pe_text = unescape_field(row["pe_text"])
-        if not pe_text.strip():
-            raise CorpusError(f"sessions: line {lineno}: empty pe_text")
-        pe_time = _parse_float(row["pe_time_sec"], "sessions", lineno, "pe_time_sec")
-        if pe_time < 0:
-            raise CorpusError(f"sessions: line {lineno}: negative pe_time_sec")
-        try:
-            keystrokes = int(row["keystrokes"])
-        except ValueError:
-            raise CorpusError(
-                f"sessions: line {lineno}: non-numeric keystrokes {row['keystrokes']!r}"
-            ) from None
-        if keystrokes < 0:
-            raise CorpusError(f"sessions: line {lineno}: negative keystrokes")
-        sessions.append(
-            PESession(
-                segment_id=sid,
-                annotator_id=annotator,
-                pe_text=pe_text,
-                pe_time_sec=pe_time,
-                keystrokes=keystrokes,
-            )
+    for lineno, sess in read_tsv(sessions_source, PESession, "sessions"):
+        sid, annotator = pair = (sess.segment_id, sess.annotator_id)
+        problem = (
+            f"unknown segment id '{sid}'" if sid not in segments
+            else "empty annotator id" if not annotator.strip()
+            else f"annotator id '{ALL_ANNOTATORS}' is reserved" if annotator == ALL_ANNOTATORS
+            else f"duplicate session for segment '{sid}', annotator '{annotator}'"
+            if pair in seen_pairs
+            else "empty pe_text" if not sess.pe_text.strip()
+            else None
         )
+        if problem:
+            raise CorpusError(f"sessions: line {lineno}: {problem}")
+        seen_pairs.add(pair)
+        sessions.append(sess)
 
     return Corpus(
-        segments=tuple(segments),
+        segments=tuple(segments.values()),
         sessions=tuple(sessions),
         annotators=frozenset(s.annotator_id for s in sessions),
     )
@@ -328,39 +328,11 @@ def validate_corpus(corpus: Corpus) -> list[ValidationWarning]:
 
 def serialize_segments(corpus: Corpus) -> str:
     """Render segments as TSV text; inverse of the loader, field-exact."""
-    lines = ["\t".join(SEGMENT_REQUIRED + SEGMENT_OPTIONAL)]
-    for s in corpus.segments:
-        da = "" if s.da is None else repr(s.da)
-        lines.append(
-            "\t".join(
-                (
-                    escape_field(s.id),
-                    escape_field(s.system_id),
-                    escape_field(s.source),
-                    escape_field(s.mt),
-                    escape_field(s.reference),
-                    da,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return format_tsv([f.name for f in fields(Segment)], map(vars, corpus.segments))
 
 
 def serialize_sessions(corpus: Corpus) -> str:
-    lines = ["\t".join(SESSION_REQUIRED)]
-    for s in corpus.sessions:
-        lines.append(
-            "\t".join(
-                (
-                    escape_field(s.segment_id),
-                    escape_field(s.annotator_id),
-                    escape_field(s.pe_text),
-                    repr(s.pe_time_sec),
-                    str(s.keystrokes),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return format_tsv([f.name for f in fields(PESession)], map(vars, corpus.sessions))
 
 
 def write_corpus(corpus: Corpus, segments_path: str | Path, sessions_path: str | Path) -> None:

@@ -439,3 +439,29 @@ def test_failed_report_writes_nothing(tmp_path, capsys, case):
     stage = "rank-eval:" if case == "no-sessions" else "load:"
     assert stage in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+_REPORT = ["report", "--segments", "SEG", "--sessions", "SESS", "--out-dir", "OUT"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (_REPORT + ["--williams-alpha", "7"], 1, "--williams-alpha: '7' is not a number strictly between 0 and 1"),
+        (_REPORT + ["--williams-alpha", "0"], 1, "--williams-alpha: '0' is not"),
+        (_REPORT + ["--ks-alpha", "nan"], 1, "--ks-alpha: 'nan' is not"),
+        (_REPORT + ["--ks-alpha", "1"], 1, "--ks-alpha: '1' is not"),
+        (_REPORT + ["--ks-alpha", "x"], 1, "--ks-alpha: invalid alpha value: 'x'"),
+        (_REPORT + ["--max-cut", "3"], 1, "unrecognized arguments: --max-cut 3"),
+        (["tails", "--scores", "SEG", "--side", "best", "--max", "x", "--step", "1", "--out", "OUT"], 1,
+         "--max: invalid int value: 'x'"),
+        (_REPORT + ["--help"], 0, ""),
+        (_REPORT + ["--williams-alpha", "0.05", "--ks-alpha", "0.5"], 0, ""),
+    ],
+)
+def test_argument_errors_exit_1(fixture_paths, tmp_path, capsys, argv, code, message):
+    out = tmp_path / "out"
+    paths = {"SEG": str(fixture_paths[0]), "SESS": str(fixture_paths[1]), "OUT": str(out)}
+    assert main([paths.get(a, a) for a in argv]) == code
+    assert message in capsys.readouterr().err
+    assert out.exists() == (code == 0 and "--help" not in argv)

@@ -129,7 +129,7 @@ def test_empty_mt_rejected():
 
 
 def test_negative_keystrokes_rejected():
-    with pytest.raises(CorpusError, match="negative keystrokes"):
+    with pytest.raises(CorpusError, match="line 2: keystrokes '-3' below minimum 0"):
         _load(
             [SEG_HEADER, "s1\tsys\tsrc\tmt\tref\t"],
             [SESS_HEADER, "s1\tA\tpe\t1.0\t-3"],
