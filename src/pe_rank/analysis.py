@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .corpus import ALL_ANNOTATORS
 from .rankeval import (
@@ -17,8 +17,8 @@ from .rankeval import (
     METRICS,
     Metric,
     RankInstance,
+    effort_order,
     effort_oriented,
-    rank_by,
     satra,
     spearman,
     tail_overlap,
@@ -84,12 +84,6 @@ def _metric_vectors(
     return vectors, notes
 
 
-def _check_rho_satra(rows: Iterable[dict]) -> None:
-    for r in rows:
-        if not (math.isfinite(r["rho"]) and math.isfinite(r["satra"])):
-            raise RuntimeError("internal invariant violation: non-finite rho/satra")
-
-
 def _measured(view: Sequence[SegmentScores], field: str) -> list[float]:
     """A column measured in the sessions (PETpW or time), which no row may lack."""
     values = [getattr(r, field) for r in view]
@@ -106,21 +100,30 @@ def _measured(view: Sequence[SegmentScores], field: str) -> list[float]:
 # rank-eval
 
 
-def _satra_for_values(
+def _rho_satra(
     view: Sequence[SegmentScores],
-    values: Sequence[float],
     metric: Metric,
+    values: Sequence[float],
+    gold: Sequence[float],
     times: Sequence[float],
-) -> float:
-    by_id = {r.segment_id: i for i, r in enumerate(view)}
-    ranking = rank_by({r.segment_id: v for r, v in zip(view, values)}, metric.polarity)
-    return satra(
+    where: str = "",
+) -> dict:
+    """The rho and SATRA cells of one metric's row: its values against the gold."""
+    try:
+        rho = spearman(effort_oriented(values, metric.polarity), gold)
+    except ValueError as exc:
+        raise ValueError(f"{where}metric {metric.name}: {exc}") from None
+    order = effort_order(values, metric.polarity).tolist()
+    satra_score = satra(
         RankInstance(
-            segment_ids=tuple(ranking),
-            times=tuple(times[by_id[sid]] for sid in ranking),
-            lengths=tuple(view[by_id[sid]].mt_tokens for sid in ranking),
+            segment_ids=tuple(view[i].segment_id for i in order),
+            times=tuple(times[i] for i in order),
+            lengths=tuple(view[i].mt_tokens for i in order),
         )
     )
+    if not (math.isfinite(rho) and math.isfinite(satra_score)):
+        raise RuntimeError("internal invariant violation: non-finite rho/satra")
+    return {"rho": rho, "satra": satra_score}
 
 
 def build_rank_table(
@@ -135,21 +138,15 @@ def build_rank_table(
     gold = _measured(view, GOLD_METRIC.field)
     times = _measured(view, "pe_time_sec")
     vectors, notes = _metric_vectors(view, METRICS)
+    cells = {m: _rho_satra(view, m, v, gold, times) for m, v in vectors.items()}
+    rho = {m: c["rho"] for m, c in cells.items()}
     oriented = {m: effort_oriented(v, m.polarity) for m, v in vectors.items()}
-    rho = {m: spearman(oriented[m], gold) for m in vectors}
-    satra_scores = {m: _satra_for_values(view, v, m, times) for m, v in vectors.items()}
     ranked_metrics = [m for m in vectors if m is not GOLD_METRIC]
     best = max(ranked_metrics, key=lambda m: rho[m]) if ranked_metrics else None
-    # spearman is symmetric to the bit, so one inter-metric rho serves both
-    # orders of a pair
-    inter: dict[frozenset[Metric], float] = {}
 
     def williams_pair(a: Metric, b: Metric) -> tuple[float | None, float | None]:
         try:
-            key = frozenset((a, b))
-            if key not in inter:
-                inter[key] = spearman(oriented[a], oriented[b])
-            result = williams_test(inter[key], rho[a], rho[b], len(view))
+            result = williams_test(spearman(oriented[a], oriented[b]), rho[a], rho[b], len(view))
         except ValueError:
             return None, None
         return result.t_stat, result.p_one_tailed
@@ -178,14 +175,12 @@ def build_rank_table(
         rows.append(
             {
                 "metric": metric.name,
-                "rho": rho[metric],
-                "satra": satra_scores[metric],
+                **cells[metric],
                 "best": metric is best,
                 "p_vs_best": p_vs_best,
                 "sig_vs_best": sig_vs_best,
             }
         )
-    _check_rho_satra(rows)
     return {"rows": rows, "williams_pairs": pairs, "notes": notes}
 
 
@@ -237,16 +232,10 @@ def build_loo_table(rows: Sequence[SegmentScores] | ScoreViews) -> dict:
         vectors, view_notes = _metric_vectors(view, [m for m in METRICS if m.loo])
         notes.extend(n for n in view_notes if n not in notes)
         for metric, values in vectors.items():
-            oriented = effort_oriented(values, metric.polarity)
-            table.append(
-                {
-                    "annotator": annotator,
-                    "metric": metric.name,
-                    "rho": spearman(oriented, list(gold.gold_petpw)),
-                    "satra": _satra_for_values(view, values, metric, gold.gold_times),
-                }
+            cells = _rho_satra(
+                view, metric, values, gold.gold_petpw, gold.gold_times, f"annotator '{annotator}', "
             )
-    _check_rho_satra(table)
+            table.append({"annotator": annotator, "metric": metric.name, **cells})
     return {"rows": table, "notes": notes}
 
 
@@ -270,11 +259,13 @@ def build_tails(
         raise ValueError(f"max cut {max_cut} exceeds {n} segments")
     if step < 1 or max_cut < 1:
         raise ValueError("step and max cut must be >= 1")
+    if step > max_cut:
+        raise ValueError(f"step {step} exceeds max cut {max_cut}")
     gold = _measured(view, GOLD_METRIC.field)
     cuts = list(range(step, max_cut + 1, step))
 
     def ranking(values: Sequence[float], metric: Metric) -> list[str]:
-        ranked = rank_by({r.segment_id: v for r, v in zip(view, values)}, metric.polarity)
+        ranked = [view[i].segment_id for i in effort_order(values, metric.polarity).tolist()]
         return ranked[::-1] if side == "worst" else ranked
 
     gold_rank = ranking(gold, GOLD_METRIC)

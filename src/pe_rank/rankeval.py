@@ -100,6 +100,11 @@ def effort_oriented(values: Sequence[float], polarity: Polarity) -> list[float]:
     return [-v for v in values]
 
 
+def effort_order(values: Sequence[float], polarity: Polarity) -> np.ndarray:
+    """Positions of `values` from least to most effort; ties keep position order."""
+    return np.argsort(_rankable(effort_oriented(values, polarity)), kind="stable")
+
+
 def rank_by(values: Mapping[str, float], polarity: Polarity) -> list[str]:
     """Order segment ids easiest-first under the given effort polarity.
 
@@ -108,30 +113,28 @@ def rank_by(values: Mapping[str, float], polarity: Polarity) -> list[str]:
     """
     if not values:
         raise ValueError("no values to rank")
-    for sid, v in values.items():
-        if math.isnan(v):
+    ids = sorted(values)
+    for sid in ids:
+        if math.isnan(values[sid]):
             raise ValueError(f"NaN value for segment '{sid}'")
-    sign = 1.0 if polarity is Polarity.HIGHER_IS_MORE_EFFORT else -1.0
-    return sorted(values, key=lambda sid: (sign * values[sid], sid))
+    return [ids[i] for i in effort_order([values[sid] for sid in ids], polarity).tolist()]
+
+
+def _rankable(values: Sequence[float]) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if np.isnan(a).any():
+        raise ValueError("NaN value cannot be ranked")
+    return a
 
 
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
     """Average ranks (1-based); tied values share the mean of their ranks."""
-    a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a), dtype=float)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(_rankable(values), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman's rho: Pearson correlation of the fractional ranks."""
+    """Spearman's rho: Pearson correlation of the fractional ranks; NaN is rejected."""
     if len(x) != len(y):
         raise ValueError("vectors must have equal length")
     if len(x) < 3:

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: full-matrix dynamic programming,
 breadth-first search over shift sequences, exhaustive alignment enumeration,
-and plain rank-then-Pearson arithmetic. None of it shares code with the
-package so a bug cannot hide on both sides of a comparison, except
-`score_corpus_per_session`: it checks how scoring fans out over sessions,
-not the metrics, so it calls the package's metric functions.
+plain rank-then-Pearson arithmetic, and the loop and sort key that ranked
+before numpy did (`tie_loop_fractional_ranks`, `signed_key_ranking`). None of
+it shares code with the package so a bug cannot hide on both sides of a
+comparison, except `score_corpus_per_session`: it checks how scoring fans out
+over sessions, not the metrics, so it calls the package's metric functions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Sequence
+
+import numpy as np
 
 
 def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
@@ -145,6 +148,27 @@ def rank_pearson(x: Sequence[float], y: Sequence[float]) -> float:
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+def tie_loop_fractional_ranks(values: Sequence[float]) -> np.ndarray:
+    """Average ranks by walking each run of equal values in a stable argsort."""
+    a = np.asarray(values, dtype=float)
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(len(a), dtype=float)
+    i = 0
+    while i < len(a):
+        j = i
+        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+def signed_key_ranking(values: dict[str, float], higher_is_more_effort: bool) -> list[str]:
+    """Ids sorted by (sign * value, id): least effort first, ties on the id."""
+    sign = 1.0 if higher_is_more_effort else -1.0
+    return sorted(values, key=lambda sid: (sign * values[sid], sid))
 
 
 def satra_directly(times: Sequence[float], lengths: Sequence[int]) -> float:

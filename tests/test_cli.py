@@ -309,6 +309,16 @@ def test_tails_command_writes_rows(fixture_paths, tmp_path):
     assert len(lines) == 1 + 3 * 9  # 3 cuts x 9 metrics
 
 
+def test_tails_step_beyond_max_fails_and_writes_nothing(fixture_paths, tmp_path, capsys):
+    scores = tmp_path / "scores.tsv"
+    main(["score", "--segments", str(fixture_paths[0]), "--sessions", str(fixture_paths[1]), "--out", str(scores)])
+    out = tmp_path / "t.tsv"
+    code = main(["tails", "--scores", str(scores), "--side", "best", "--max", "2", "--step", "5", "--out", str(out)])
+    assert code == 1
+    assert "step 5 exceeds max cut 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # stats table
 
@@ -465,3 +475,24 @@ def test_argument_errors_exit_1(fixture_paths, tmp_path, capsys, argv, code, mes
     assert main([paths.get(a, a) for a in argv]) == code
     assert message in capsys.readouterr().err
     assert out.exists() == (code == 0 and "--help" not in argv)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["rank-eval", "--annotator", "ALL"], "error: metric HTER: undefined correlation (constant vector)"),
+        (["loo"], "error: annotator 'A', metric HTER: undefined correlation (constant vector)"),
+    ],
+)
+def test_undefined_correlation_names_the_metric(tmp_path, capsys, command, message):
+    rows = [
+        _row(f"s{i}", annotator, 1.0 + (i * 3 + k) % 5, hter=0.25)
+        for i in range(6)
+        for k, annotator in enumerate(["A", "B", "ALL"])
+    ]
+    scores = tmp_path / "scores.tsv"
+    write_scores(rows, scores)
+    out = tmp_path / "out.tsv"
+    assert main(command + ["--scores", str(scores), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -10,13 +10,15 @@ from pe_rank.rankeval import (
     Polarity,
     RankInstance,
     delta_avg,
+    effort_order,
+    fractional_ranks,
     rank_by,
     satra,
     spearman,
     tail_overlap,
 )
 
-from oracles import satra_directly
+from oracles import satra_directly, signed_key_ranking, tie_loop_fractional_ranks
 
 HIGHER = Polarity.HIGHER_IS_MORE_EFFORT
 LOWER = Polarity.LOWER_IS_MORE_EFFORT
@@ -232,3 +234,39 @@ def test_tail_overlap_random_rankings_hypergeometric_mean():
         rng.shuffle(right)
         total += tail_overlap(left, right, [cut])[0]
     assert abs(total / trials - 250) <= 30
+
+
+# ---------------------------------------------------------------------------
+# differential oracles for the numpy ranking
+
+# few distinct values, so lists are full of ties; signed zeros and subnormals
+# must tie or order exactly as the loop and the sort key did
+_TIE_HEAVY = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e300, math.inf, -math.inf]
+) | st.floats(allow_nan=False)
+
+
+@given(st.lists(_TIE_HEAVY, max_size=12))
+def test_fractional_ranks_match_tie_loop_bit_for_bit(values):
+    assert fractional_ranks(values).tobytes() == tie_loop_fractional_ranks(values).tobytes()
+
+
+@given(
+    st.dictionaries(st.text(max_size=3), _TIE_HEAVY, min_size=1, max_size=12),
+    st.sampled_from(list(Polarity)),
+)
+def test_rank_by_matches_signed_sort_key(values, polarity):
+    expected = signed_key_ranking(values, polarity is HIGHER)
+    assert rank_by(values, polarity) == expected
+
+
+def test_effort_order_keeps_position_order_on_ties():
+    assert effort_order([0.5, -0.0, 0.5, 0.0], HIGHER).tolist() == [1, 3, 0, 2]
+    assert effort_order([0.5, -0.0, 0.5, 0.0], LOWER).tolist() == [0, 2, 1, 3]
+
+
+def test_spearman_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        spearman([1, math.nan, 3, 2], [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="NaN"):
+        spearman([1, 2, 3, 4], [1, 2, math.nan, 4])
