@@ -1,14 +1,19 @@
-"""Analysis tables over score rows: rank-eval, leave-one-out, tails, stats.
+"""Analysis tables over score columns: rank-eval, leave-one-out, tails, stats.
 
-Every function takes score rows (or the `ScoreViews` built from them) and
-returns plain dicts and lists, ready to write. Bad input raises ValueError.
+Every table builder takes the `ScoreViews` of the score rows, plus the
+annotator where it works on one view, and returns plain dicts and lists of
+Python values, ready to write. Bad input raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from array import array
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .corpus import ALL_ANNOTATORS
 from .rankeval import (
@@ -26,74 +31,86 @@ from .rankeval import (
 from .stats import cluster_annotators, weighted_mean_std, williams_test
 from .taskmetrics import SegmentScores
 
+# The SegmentScores fields held as float64 columns (annotations are strings
+# here: postponed evaluation).
+FLOAT_FIELDS = tuple(f.name for f in fields(SegmentScores) if f.type.startswith("float"))
+_float_cells = attrgetter(*FLOAT_FIELDS)
+
 
 class ScoreViews:
-    """Annotator views of score rows, each built once, when first asked for.
+    """Score rows as columns, one set per annotator view and one for ALL.
 
-    A view holds one annotator's rows (or the ALL rows) in segment id order
-    and must cover every segment in the rows. The check is made per view, so
-    a command that needs only the ALL view runs when some annotator has gaps.
+    The rows are read once and not kept. Each view holds, in segment id order,
+    an int `mt_tokens` column and a float64 column per field of FLOAT_FIELDS,
+    NaN where a row has no value (None). A view must cover every segment of
+    the rows. That check is made when the view is asked for, so a command
+    that needs only the ALL view runs when some annotator has gaps.
     """
 
-    def __init__(self, rows: Sequence[SegmentScores]) -> None:
-        self.rows = rows
-        self.segment_ids = sorted({r.segment_id for r in rows})
-        self.annotators = sorted({r.annotator_id for r in rows} - {ALL_ANNOTATORS})
-        self._views: dict[str, list[SegmentScores]] = {}
-        self._columns: dict[tuple[str, str], list[float]] = {}
+    def __init__(self, rows: Iterable[SegmentScores]) -> None:
+        read: dict[str, tuple[list[str], list[int], array]] = {}
+        missing = 0  # None cells, stored as NaN
+        for row in rows:
+            if row.annotator_id not in read:
+                read[row.annotator_id] = ([], [], array("d"))
+            ids, tokens, cells = read[row.annotator_id]
+            ids.append(row.segment_id)
+            tokens.append(row.mt_tokens)
+            values = _float_cells(row)
+            if None in values:
+                missing += values.count(None)
+                values = [math.nan if v is None else v for v in values]
+            cells.extend(values)
+        segment_ids = {sid for ids, _, _ in read.values() for sid in ids}
+        self.segment_ids = sorted(segment_ids)
+        self.annotators = sorted(read.keys() - {ALL_ANNOTATORS})
+        self._columns: dict[str, dict[str, np.ndarray]] = {}
+        self._gaps: dict[str, list[str]] = {}
+        for annotator, (ids, tokens, cells) in read.items():
+            if len(set(ids)) < len(ids):
+                raise ValueError(f"annotator '{annotator}' has two rows for one segment")
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            block = np.frombuffer(cells).reshape(len(ids), len(FLOAT_FIELDS))[order]
+            missing -= np.count_nonzero(np.isnan(block))
+            self._columns[annotator] = dict(zip(FLOAT_FIELDS, block.T.copy()))
+            self._columns[annotator]["mt_tokens"] = np.array(tokens)[order]
+            self._gaps[annotator] = sorted(segment_ids.difference(ids))
+        if missing:
+            raise ValueError("NaN score in the rows (a missing value is None)")
 
-    def view(self, annotator: str) -> list[SegmentScores]:
-        """All rows of one annotator view, sorted by segment id, gap-checked."""
-        if annotator not in self._views:
-            selected = {r.segment_id: r for r in self.rows if r.annotator_id == annotator}
-            if not selected:
-                raise ValueError(f"no rows for annotator '{annotator}'")
-            missing = [sid for sid in self.segment_ids if sid not in selected]
-            if missing:
-                raise ValueError(
-                    f"scores incomplete for annotator '{annotator}': missing segment '{missing[0]}'"
-                )
-            self._views[annotator] = [selected[sid] for sid in self.segment_ids]
-        return self._views[annotator]
-
-    def measured(self, annotator: str, field: str) -> list[float]:
-        """One view's PETpW or time column, which no row may lack; built once."""
-        if (annotator, field) not in self._columns:
-            self._columns[annotator, field] = _measured(self.view(annotator), field)
-        return self._columns[annotator, field]
-
-
-def _views(rows: Sequence[SegmentScores] | ScoreViews) -> ScoreViews:
-    return rows if isinstance(rows, ScoreViews) else ScoreViews(rows)
+    def column(self, annotator: str, field: str, optional: bool = False) -> np.ndarray:
+        """One view's column in segment id order; a missing value raises unless `optional`."""
+        if annotator not in self._columns:
+            raise ValueError(f"no rows for annotator '{annotator}'")
+        gaps = self._gaps[annotator]
+        if gaps:
+            more = f" (and {len(gaps) - 1} more)" if len(gaps) > 1 else ""
+            raise ValueError(
+                f"scores incomplete for annotator '{annotator}': missing segment '{gaps[0]}'{more}"
+            )
+        values = self._columns[annotator][field]
+        if not optional and np.isnan(values).any():
+            sid = self.segment_ids[int(np.argmax(np.isnan(values)))]
+            raise ValueError(
+                f"missing {field} for annotator '{annotator}', segment '{sid}'"
+                " (corpus without sessions?)"
+            )
+        return values
 
 
 def _metric_vectors(
-    view: Sequence[SegmentScores], metrics: Sequence[Metric]
+    views: ScoreViews, annotator: str, metrics: Sequence[Metric]
 ) -> tuple[dict[Metric, list[float]], list[str]]:
     """Each metric's values over a view; only DA may be missing, and is noted."""
     vectors: dict[Metric, list[float]] = {}
     notes: list[str] = []
     for metric in metrics:
-        values = [getattr(r, metric.field) for r in view]
-        if None not in values:
-            vectors[metric] = values
-        elif metric is DA_METRIC:
+        values = views.column(annotator, metric.field, optional=metric is DA_METRIC)
+        if np.isnan(values).any():
             notes.append(f"metric {metric.name} unavailable; rows omitted")
         else:
-            raise ValueError(f"scores incomplete: missing {metric.name} value")
+            vectors[metric] = values.tolist()
     return vectors, notes
-
-
-def _measured(view: Sequence[SegmentScores], field: str) -> list[float]:
-    """A column measured in the sessions (PETpW or time), which no row may lack."""
-    values = [getattr(r, field) for r in view]
-    if None in values:
-        row = view[values.index(None)]
-        raise ValueError(
-            f"missing {field} for annotator '{row.annotator_id}', segment '{row.segment_id}'"
-            " (corpus without sessions?)"
-        )
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +118,20 @@ def _measured(view: Sequence[SegmentScores], field: str) -> list[float]:
 
 
 def _rho_satra(
-    view: Sequence[SegmentScores],
-    metric: Metric,
-    values: Sequence[float],
-    gold: Sequence[float],
-    times: Sequence[float],
-    where: str = "",
+    views: ScoreViews, annotator: str, metric: Metric, values: Sequence[float],
+    gold: Sequence[float], times: np.ndarray, where: str = "",
 ) -> dict:
     """The rho and SATRA cells of one metric's row: its values against the gold."""
     try:
         rho = spearman(effort_oriented(values, metric.polarity), gold)
     except ValueError as exc:
         raise ValueError(f"{where}metric {metric.name}: {exc}") from None
-    order = effort_order(values, metric.polarity).tolist()
+    order = effort_order(values, metric.polarity)
     satra_score = satra(
         RankInstance(
-            segment_ids=tuple(view[i].segment_id for i in order),
-            times=tuple(times[i] for i in order),
-            lengths=tuple(view[i].mt_tokens for i in order),
+            segment_ids=tuple(views.segment_ids[i] for i in order.tolist()),
+            times=tuple(times[order].tolist()),
+            lengths=tuple(views.column(annotator, "mt_tokens")[order].tolist()),
         )
     )
     if not (math.isfinite(rho) and math.isfinite(satra_score)):
@@ -126,19 +139,17 @@ def _rho_satra(
     return {"rho": rho, "satra": satra_score}
 
 
-def build_rank_table(
-    view: Sequence[SegmentScores], williams_alpha: float = 0.01
-) -> dict:
+def build_rank_table(views: ScoreViews, annotator: str, williams_alpha: float = 0.01) -> dict:
     """Rho and SATRA per metric for one annotator view, with Williams flags.
 
     The PETPW row is the oracle: the gold measurement ranked by itself.
     Pairs whose Williams statistic is undefined (tiny n, perfect correlation)
     get null p-values instead of failing the whole table.
     """
-    gold = _measured(view, GOLD_METRIC.field)
-    times = _measured(view, "pe_time_sec")
-    vectors, notes = _metric_vectors(view, METRICS)
-    cells = {m: _rho_satra(view, m, v, gold, times) for m, v in vectors.items()}
+    gold = views.column(annotator, GOLD_METRIC.field).tolist()
+    times = views.column(annotator, "pe_time_sec")
+    vectors, notes = _metric_vectors(views, annotator, METRICS)
+    cells = {m: _rho_satra(views, annotator, m, v, gold, times) for m, v in vectors.items()}
     rho = {m: c["rho"] for m, c in cells.items()}
     oriented = {m: effort_oriented(v, m.polarity) for m, v in vectors.items()}
     ranked_metrics = [m for m in vectors if m is not GOLD_METRIC]
@@ -146,7 +157,7 @@ def build_rank_table(
 
     def williams_pair(a: Metric, b: Metric) -> tuple[float | None, float | None]:
         try:
-            result = williams_test(spearman(oriented[a], oriented[b]), rho[a], rho[b], len(view))
+            result = williams_test(spearman(oriented[a], oriented[b]), rho[a], rho[b], len(gold))
         except ValueError:
             return None, None
         return result.t_stat, result.p_one_tailed
@@ -155,15 +166,9 @@ def build_rank_table(
     for i, a in enumerate(ranked_metrics):
         for b in ranked_metrics[i + 1 :]:
             t_stat, p = williams_pair(a, b)
-            pairs.append(
-                {
-                    "metric_a": a.name,
-                    "metric_b": b.name,
-                    "t": t_stat,
-                    "p": p,
-                    "significant": None if p is None else p < williams_alpha,
-                }
-            )
+            significant = None if p is None else p < williams_alpha
+            pairs.append({"metric_a": a.name, "metric_b": b.name, "t": t_stat, "p": p,
+                          "significant": significant})
     rows = []
     for metric in vectors:
         p_vs_best: float | None = None
@@ -172,15 +177,8 @@ def build_rank_table(
             # one-tailed: is the best metric's correlation genuinely larger?
             _, p_vs_best = williams_pair(best, metric)
             sig_vs_best = None if p_vs_best is None else p_vs_best < williams_alpha
-        rows.append(
-            {
-                "metric": metric.name,
-                **cells[metric],
-                "best": metric is best,
-                "p_vs_best": p_vs_best,
-                "sig_vs_best": sig_vs_best,
-            }
-        )
+        rows.append({"metric": metric.name, **cells[metric], "best": metric is best,
+                     "p_vs_best": p_vs_best, "sig_vs_best": sig_vs_best})
     return {"rows": rows, "williams_pairs": pairs, "notes": notes}
 
 
@@ -204,36 +202,42 @@ def _loo_annotators(views: ScoreViews) -> list[str]:
     return views.annotators
 
 
-def loo_gold(rows: Sequence[SegmentScores] | ScoreViews, annotator: str) -> LOOGold:
+def _mean(columns: Sequence[np.ndarray]) -> tuple[float, ...]:
+    """Per-segment mean of the columns, summed in order from 0.0 as Python's
+    `sum` does (np.sum would sum pairwise, which can differ in the last bit)."""
+    total = np.zeros(len(columns[0]))
+    for values in columns:
+        total += values
+    return tuple((total / len(columns)).tolist())
+
+
+def loo_gold(views: ScoreViews, annotator: str) -> LOOGold:
     """Per-segment mean PETpW and mean time of every *other* annotator."""
-    views = _views(rows)
     annotators = _loo_annotators(views)
     if annotator not in annotators:
         raise ValueError(f"unknown annotator '{annotator}'")
     others = [a for a in annotators if a != annotator]
-    petpws = [views.measured(a, GOLD_METRIC.field) for a in others]
-    times = [views.measured(a, "pe_time_sec") for a in others]
     return LOOGold(
         annotator_id=annotator,
         segment_ids=tuple(views.segment_ids),
-        gold_petpw=tuple(sum(values) / len(values) for values in zip(*petpws)),
-        gold_times=tuple(sum(values) / len(values) for values in zip(*times)),
+        gold_petpw=_mean([views.column(a, GOLD_METRIC.field) for a in others]),
+        gold_times=_mean([views.column(a, "pe_time_sec") for a in others]),
     )
 
 
-def build_loo_table(rows: Sequence[SegmentScores] | ScoreViews) -> dict:
+def build_loo_table(views: ScoreViews) -> dict:
     """Rho/SATRA of each annotator's metrics against the others' mean PETpW."""
-    views = _views(rows)
     table = []
     notes: list[str] = []
     for annotator in _loo_annotators(views):
-        view = views.view(annotator)
         gold = loo_gold(views, annotator)
-        vectors, view_notes = _metric_vectors(view, [m for m in METRICS if m.loo])
+        times = np.array(gold.gold_times)
+        vectors, view_notes = _metric_vectors(views, annotator, [m for m in METRICS if m.loo])
         notes.extend(n for n in view_notes if n not in notes)
         for metric, values in vectors.items():
             cells = _rho_satra(
-                view, metric, values, gold.gold_petpw, gold.gold_times, f"annotator '{annotator}', "
+                views, annotator, metric, values, gold.gold_petpw, times,
+                f"annotator '{annotator}', ",
             )
             table.append({"annotator": annotator, "metric": metric.name, **cells})
     return {"rows": table, "notes": notes}
@@ -243,9 +247,7 @@ def build_loo_table(rows: Sequence[SegmentScores] | ScoreViews) -> dict:
 # tails
 
 
-def build_tails(
-    rows: Sequence[SegmentScores] | ScoreViews, side: str, max_cut: int, step: int
-) -> dict:
+def build_tails(views: ScoreViews, side: str, max_cut: int, step: int) -> dict:
     """Overlap counts between the gold PETpW tail and each metric's tail.
 
     `best` compares the least-effort ends, `worst` the reversed rankings.
@@ -253,23 +255,22 @@ def build_tails(
     """
     if side not in ("best", "worst"):
         raise ValueError(f"side must be 'best' or 'worst', got {side!r}")
-    view = _views(rows).view(ALL_ANNOTATORS)
-    n = len(view)
+    gold = views.column(ALL_ANNOTATORS, GOLD_METRIC.field).tolist()
+    n = len(gold)
     if max_cut > n:
         raise ValueError(f"max cut {max_cut} exceeds {n} segments")
     if step < 1 or max_cut < 1:
         raise ValueError("step and max cut must be >= 1")
     if step > max_cut:
         raise ValueError(f"step {step} exceeds max cut {max_cut}")
-    gold = _measured(view, GOLD_METRIC.field)
     cuts = list(range(step, max_cut + 1, step))
 
     def ranking(values: Sequence[float], metric: Metric) -> list[str]:
-        ranked = [view[i].segment_id for i in effort_order(values, metric.polarity).tolist()]
+        ranked = [views.segment_ids[i] for i in effort_order(values, metric.polarity).tolist()]
         return ranked[::-1] if side == "worst" else ranked
 
     gold_rank = ranking(gold, GOLD_METRIC)
-    vectors, notes = _metric_vectors(view, METRICS)
+    vectors, notes = _metric_vectors(views, ALL_ANNOTATORS, METRICS)
     out = []
     for metric, values in vectors.items():
         for cut, overlap in zip(cuts, tail_overlap(gold_rank, ranking(values, metric), cuts)):
@@ -282,20 +283,18 @@ def build_tails(
 # report-only tables
 
 
-def build_stats_table(rows: Sequence[SegmentScores] | ScoreViews) -> dict:
+def build_stats_table(views: ScoreViews) -> dict:
     """Weighted mean/std of every metric per annotator view; weights are MT words."""
-    views = _views(rows)
     table = []
     notes: list[str] = []
     for annotator in views.annotators + [ALL_ANNOTATORS]:
-        view = views.view(annotator)
-        weights = [float(r.mt_tokens) for r in view]
+        weights = views.column(annotator, "mt_tokens").tolist()
         for metric in METRICS:
-            values = [getattr(r, metric.field) for r in view]
-            if any(v is None for v in values):
+            values = views.column(annotator, metric.field, optional=True)
+            if np.isnan(values).any():
                 notes.append(f"metric {metric.name} unavailable for '{annotator}'; rows omitted")
                 continue
-            mean, std = weighted_mean_std(values, weights)
+            mean, std = weighted_mean_std(values.tolist(), weights)
             table.append(
                 {"annotator": annotator, "metric": metric.name, "mean": mean, "std": std}
             )
@@ -317,9 +316,8 @@ def build_scatter(rows: Sequence[SegmentScores]) -> list[tuple[str, str, str, fl
     return out
 
 
-def petpw_by_annotator(rows: Sequence[SegmentScores] | ScoreViews) -> dict[str, list[float]]:
-    views = _views(rows)
-    return {a: views.measured(a, GOLD_METRIC.field) for a in views.annotators}
+def petpw_by_annotator(views: ScoreViews) -> dict[str, list[float]]:
+    return {a: views.column(a, GOLD_METRIC.field).tolist() for a in views.annotators}
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +332,13 @@ def stage(name: str, fn: Callable, *args):
         raise ValueError(f"{name}: {exc}") from None
 
 
-def build_report(
-    rows: Sequence[SegmentScores], williams_alpha: float, ks_alpha: float
-) -> dict:
+def build_report(views: ScoreViews, williams_alpha: float, ks_alpha: float) -> dict:
     """Every table of a report, keyed as in report.json, with their notes."""
-    views = ScoreViews(rows)
     stats_table = stage("stats", build_stats_table, views)
     notes = [f"stats: {n}" for n in dict.fromkeys(stats_table["notes"])]
     ranking: dict[str, dict] = {}
     for annotator in views.annotators + [ALL_ANNOTATORS]:
-        table = stage("rank-eval", lambda: build_rank_table(views.view(annotator), williams_alpha))
+        table = stage("rank-eval", build_rank_table, views, annotator, williams_alpha)
         ranking[annotator] = {"rows": table["rows"], "williams_pairs": table["williams_pairs"]}
         notes.extend(f"rank-eval[{annotator}]: {n}" for n in table["notes"])
     loo_table = stage("loo", build_loo_table, views)

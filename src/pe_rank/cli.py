@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analysis import (
     ScoreViews,
@@ -53,24 +53,36 @@ def _write_tsv(path: Path, header: Sequence[str], rows: Iterable[dict]) -> None:
     path.write_text(format_tsv(header, rows), encoding="utf-8")
 
 
-def read_scores(path: str | Path) -> list[SegmentScores]:
-    """Parse a scores file written by `score` (or an equivalent producer).
+def iter_scores(path: str | Path) -> Iterator[SegmentScores]:
+    """The rows of a scores file written by `score` (or an equivalent producer),
+    parsed one at a time.
 
     Beyond the cell and header checks of `read_tsv`, rejects a second row for
-    the same (segment, annotator) pair, naming the line.
+    the same (segment, annotator) pair and a row whose mt_tokens differs from
+    an earlier row of its segment, naming the line.
     """
-    rows: list[SegmentScores] = []
     seen: dict[str, set[str]] = {}  # annotator -> segment ids read so far
+    tokens: dict[str, int] = {}  # segment id -> mt_tokens of its first row
     for lineno, row in read_tsv(path, SegmentScores, "scores"):
+        sid = row.segment_id
         segments = seen.setdefault(row.annotator_id, set())
-        if row.segment_id in segments:
+        if sid in segments:
             raise CliError(
                 f"scores: line {lineno}: duplicate row for segment "
-                f"'{row.segment_id}', annotator '{row.annotator_id}'"
+                f"'{sid}', annotator '{row.annotator_id}'"
             )
-        segments.add(row.segment_id)
-        rows.append(row)
-    return rows
+        segments.add(sid)
+        if tokens.setdefault(sid, row.mt_tokens) != row.mt_tokens:
+            raise CliError(
+                f"scores: line {lineno}: mt_tokens {row.mt_tokens} for segment '{sid}'"
+                f" differs from {tokens[sid]} on an earlier row"
+            )
+        yield row
+
+
+def read_scores(path: str | Path) -> list[SegmentScores]:
+    """Every row of a scores file, checked as by `iter_scores`."""
+    return list(iter_scores(path))
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +103,20 @@ _STATS_HEADER = ("annotator", "metric", "mean", "std")
 
 
 def cmd_rank_eval(args: argparse.Namespace) -> None:
-    view = ScoreViews(read_scores(args.scores)).view(args.annotator)
-    table = build_rank_table(view, williams_alpha=args.williams_alpha)
+    views = ScoreViews(iter_scores(args.scores))
+    table = build_rank_table(views, args.annotator, williams_alpha=args.williams_alpha)
     out = Path(args.out)
     _write_tsv(out, _RANK_HEADER, table["rows"])
     _write_tsv(out.with_name(out.name + ".williams.tsv"), _PAIR_HEADER, table["williams_pairs"])
 
 
 def cmd_loo(args: argparse.Namespace) -> None:
-    table = build_loo_table(read_scores(args.scores))
+    table = build_loo_table(ScoreViews(iter_scores(args.scores)))
     _write_tsv(Path(args.out), _LOO_HEADER, table["rows"])
 
 
 def cmd_tails(args: argparse.Namespace) -> None:
-    table = build_tails(read_scores(args.scores), args.side, args.max, args.step)
+    table = build_tails(ScoreViews(iter_scores(args.scores)), args.side, args.max, args.step)
     _write_tsv(Path(args.out), _TAILS_HEADER, table["rows"])
 
 
@@ -113,7 +125,7 @@ def cmd_report(args: argparse.Namespace) -> None:
     # that fails at any stage writes nothing
     corpus = stage("load", load_corpus, args.segments, args.sessions)
     rows = stage("score", score_corpus, corpus)
-    report = build_report(rows, args.williams_alpha, args.ks_alpha)
+    report = build_report(ScoreViews(rows), args.williams_alpha, args.ks_alpha)
     scatter = stage("scatter", build_scatter, rows)
 
     out_dir = Path(args.out_dir)

@@ -47,17 +47,6 @@ def weighted_mean_std(
     return mean, std
 
 
-def standardize(values: Sequence[float]) -> np.ndarray:
-    """Shift/scale to zero mean and unit (population) standard deviation."""
-    if len(values) < 2:
-        raise ValueError("need at least 2 values")
-    x = np.asarray(values, dtype=float)
-    std = float(x.std())
-    if std == 0:
-        raise ValueError("constant input cannot be standardized")
-    return (x - x.mean()) / std
-
-
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (Lentz's method)."""
     max_iter = 300

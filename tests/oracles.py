@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive: full-matrix dynamic programming,
 breadth-first search over shift sequences, exhaustive alignment enumeration,
-plain rank-then-Pearson arithmetic, and the loop and sort key that ranked
-before numpy did (`tie_loop_fractional_ranks`, `signed_key_ranking`). None of
-it shares code with the package so a bug cannot hide on both sides of a
-comparison, except `score_corpus_per_session`: it checks how scoring fans out
-over sessions, not the metrics, so it calls the package's metric functions.
+plain rank-then-Pearson arithmetic, the leave-one-out mean as Python's `sum`
+adds it (`loo_mean`), and the loop and sort key that ranked before numpy did
+(`tie_loop_fractional_ranks`, `signed_key_ranking`). None of it shares code
+with the package so a bug cannot hide on both sides of a comparison, except
+`score_corpus_per_session`: it checks how scoring fans out over sessions, not
+the metrics, so it calls the package's metric functions.
 """
 
 from __future__ import annotations
@@ -169,6 +170,11 @@ def signed_key_ranking(values: dict[str, float], higher_is_more_effort: bool) ->
     """Ids sorted by (sign * value, id): least effort first, ties on the id."""
     sign = 1.0 if higher_is_more_effort else -1.0
     return sorted(values, key=lambda sid: (sign * values[sid], sid))
+
+
+def loo_mean(columns: Sequence[Sequence[float]]) -> list[float]:
+    """Per-segment mean of the columns: Python's sum over the zipped values, then divide."""
+    return [sum(values) / len(values) for values in zip(*columns)]
 
 
 def satra_directly(times: Sequence[float], lengths: Sequence[int]) -> float:

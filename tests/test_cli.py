@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pe_rank.analysis import build_stats_table, loo_gold
+from pe_rank.analysis import ScoreViews, build_stats_table, loo_gold
 from pe_rank.cli import (
     build_loo_table,
     build_rank_table,
@@ -119,7 +119,7 @@ def test_score_round_trips_through_reader(fixture_paths, tmp_path):
 
 def test_rank_table_gold_against_itself():
     view = [_row(f"s{i:02d}", "ALL", pw) for i, pw in enumerate([1.0, 3.0, 2.0, 5.0, 4.0])]
-    table = build_rank_table(view)
+    table = build_rank_table(ScoreViews(view), "ALL")
     rows = {r["metric"]: r for r in table["rows"]}
     assert rows["PETPW"]["rho"] == pytest.approx(1.0)
     oracle_satra = rows["PETPW"]["satra"]
@@ -132,7 +132,7 @@ def test_rank_table_monotone_transform_of_gold():
         _row(f"s{i:02d}", "ALL", pw, hter=pw * pw / 100.0)
         for i, pw in enumerate([1.0, 3.0, 2.0, 5.0, 4.0, 0.5])
     ]
-    table = build_rank_table(view)
+    table = build_rank_table(ScoreViews(view), "ALL")
     rows = {r["metric"]: r for r in table["rows"]}
     assert rows["HTER"]["rho"] == pytest.approx(1.0)
     assert rows["HTER"]["best"] is True
@@ -160,7 +160,7 @@ def test_rank_table_tracking_metric_beats_random_metric():
                     bleu=rng.random(),
                 )
             )
-        rows = {r["metric"]: r for r in build_rank_table(view)["rows"]}
+        rows = {r["metric"]: r for r in build_rank_table(ScoreViews(view), "ALL")["rows"]}
         if rows["HTER"]["satra"] < rows["BLEU"]["satra"]:
             wins += 1
     assert wins >= 95
@@ -203,7 +203,7 @@ def test_rank_eval_rejects_reference_only_scores(tmp_path, capsys):
 def test_loo_gold_two_annotators_is_other_vector(fixture_paths):
     corpus = load_corpus(*fixture_paths)
     rows = score_corpus(corpus)
-    gold = loo_gold(rows, "ANN0")
+    gold = loo_gold(ScoreViews(rows), "ANN0")
     ann1 = {r.segment_id: r for r in rows if r.annotator_id == "ANN1"}
     assert gold.annotator_id == "ANN0"
     assert list(gold.gold_petpw) == [ann1[sid].petpw for sid in gold.segment_ids]
@@ -216,7 +216,7 @@ def test_loo_gold_three_annotators_hand_means():
     for annotator, ts in times.items():
         for i, t in enumerate(ts):
             rows.append(_row(f"s{i}", annotator, t / 4.0, L=4))
-    gold = loo_gold(rows, "A")
+    gold = loo_gold(ScoreViews(rows), "A")
     assert gold.segment_ids == ("s0", "s1", "s2")
     assert gold.gold_times == pytest.approx([10.0, 5.5, 8.5])
     assert gold.gold_petpw == pytest.approx([2.5, 1.375, 2.125])
@@ -227,7 +227,7 @@ def test_loo_identical_annotators_track_each_other_perfectly():
     for annotator in ("A", "B", "C"):
         for i, pw in enumerate([1.0, 4.0, 2.0, 3.0]):
             rows.append(_row(f"s{i}", annotator, pw))
-    table = build_loo_table(rows)["rows"]
+    table = build_loo_table(ScoreViews(rows))["rows"]
     petpw_rows = [r for r in table if r["metric"] == "PETPW"]
     assert len(petpw_rows) == 3
     for row in petpw_rows:
@@ -237,7 +237,7 @@ def test_loo_identical_annotators_track_each_other_perfectly():
 def test_loo_table_petpw_row_matches_direct_spearman(fixture_paths):
     corpus = load_corpus(*fixture_paths)
     rows = score_corpus(corpus)
-    table = build_loo_table(rows)["rows"]
+    table = build_loo_table(ScoreViews(rows))["rows"]
     ann0 = [r.petpw for r in rows if r.annotator_id == "ANN0"]
     ann1 = [r.petpw for r in rows if r.annotator_id == "ANN1"]
     petpw_row = next(r for r in table if r["annotator"] == "ANN0" and r["metric"] == "PETPW")
@@ -266,15 +266,15 @@ def test_loo_requires_two_annotators(tmp_path, capsys):
 
 def test_tails_gold_metric_overlaps_equal_cut():
     view = [_row(f"s{i:03d}", "ALL", float(i + 1)) for i in range(20)]
-    table = build_tails(view, "best", 20, 5)
+    table = build_tails(ScoreViews(view), "best", 20, 5)
     petpw_rows = [r for r in table["rows"] if r["metric"] == "PETPW"]
     assert [(r["cut"], r["overlap"]) for r in petpw_rows] == [(5, 5), (10, 10), (15, 15), (20, 20)]
 
 
 def test_tails_full_cut_equal_best_and_worst():
     view = [_row(f"s{i:03d}", "ALL", float((i * 7) % 20 + 1)) for i in range(20)]
-    best = build_tails(view, "best", 20, 20)["rows"]
-    worst = build_tails(view, "worst", 20, 20)["rows"]
+    best = build_tails(ScoreViews(view), "best", 20, 20)["rows"]
+    worst = build_tails(ScoreViews(view), "worst", 20, 20)["rows"]
     best_at_full = {r["metric"]: r["overlap"] for r in best if r["cut"] == 20}
     worst_at_full = {r["metric"]: r["overlap"] for r in worst if r["cut"] == 20}
     assert best_at_full == worst_at_full  # the full set is shared either way
@@ -286,7 +286,7 @@ def test_tails_random_metric_hypergeometric():
         _row(f"s{i:04d}", "ALL", rng.uniform(0.2, 9.0), bleu=rng.random())
         for i in range(1000)
     ]
-    table = build_tails(view, "best", 500, 500)
+    table = build_tails(ScoreViews(view), "best", 500, 500)
     bleu_row = next(r for r in table["rows"] if r["metric"] == "BLEU")
     assert abs(bleu_row["overlap"] - 250) <= 40
 
@@ -328,7 +328,7 @@ def test_stats_table_weighted_by_mt_tokens():
         _row("s1", "ALL", 2.0, L=1, hter=0.1),
         _row("s2", "ALL", 4.0, L=3, hter=0.5),
     ]
-    table = build_stats_table(view)["rows"]
+    table = build_stats_table(ScoreViews(view))["rows"]
     hter_all = next(r for r in table if r["metric"] == "HTER")
     assert hter_all["mean"] == pytest.approx((0.1 * 1 + 0.5 * 3) / 4)
 

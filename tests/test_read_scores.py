@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,50 @@ def test_line_numbers_count_blank_lines(tmp_path, fixture_paths):
     path.write_text("\n".join(lines[:2] + ["", ""] + lines[2:]) + "\n", encoding="utf-8")
     with pytest.raises(CliError, match="line 7: non-numeric ter"):
         read_scores(path)
+
+
+def test_mt_tokens_differing_within_a_segment_fails_naming_line(tmp_path, fixture_paths, capsys):
+    path, lines = _scores(tmp_path, fixture_paths)
+    assert lines[2].startswith("s1\tANN1\t5\t")
+    path.write_text("\n".join(_set_cell(lines, 3, "mt_tokens", "6")) + "\n", encoding="utf-8")
+    message = "line 3: mt_tokens 6 for segment 's1' differs from 5 on an earlier row"
+    with pytest.raises(CliError, match=message):
+        read_scores(path)
+    for argv in COMMANDS:
+        assert _run(tmp_path, path, argv) == 1, argv
+        assert message in capsys.readouterr().err
+
+
+def test_gap_error_counts_the_other_missing_segments(tmp_path, fixture_paths, capsys):
+    path, lines = _scores(tmp_path, fixture_paths)
+    kept = [line for line in lines if not line.startswith(("s1\tANN1", "s3\tANN1"))]
+    assert len(kept) == len(lines) - 2
+    path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    assert _run(tmp_path, path, ["rank-eval", "--annotator", "ANN1", "--out", "a1.tsv"]) == 1
+    err = capsys.readouterr().err
+    assert "scores incomplete for annotator 'ANN1': missing segment 's1' (and 1 more)" in err
+
+
+def test_row_order_does_not_change_any_output(tmp_path):
+    seeded = Path(__file__).parent / "golden" / "seeded" / "expected" / "scores.tsv"
+    header, *rows = seeded.read_text(encoding="utf-8").splitlines()
+    all_rows = [r for r in rows if r.split("\t")[1] == "ALL"]
+    annotator_rows = [r for r in rows if r.split("\t")[1] != "ALL"]
+    random.Random(0).shuffle(annotator_rows)  # annotators interleaved
+    shuffled = tmp_path / "shuffled.tsv"
+    shuffled.write_text("\n".join([header] + all_rows[::-1] + annotator_rows) + "\n", encoding="utf-8")
+    commands = (
+        ["rank-eval", "--annotator", "ALL", "--out", "rank_all.tsv"],
+        ["rank-eval", "--annotator", "a2", "--out", "rank_a2.tsv"],
+        ["loo", "--out", "loo.tsv"],
+        ["tails", "--side", "best", "--max", "12", "--step", "3", "--out", "best.tsv"],
+        ["tails", "--side", "worst", "--max", "12", "--step", "3", "--out", "worst.tsv"],
+    )
+    outputs = {}
+    for name, path in (("sorted", seeded), ("shuffled", shuffled)):
+        (tmp_path / name).mkdir()
+        for argv in commands:
+            assert _run(tmp_path, path, argv[:-1] + [f"{name}/{argv[-1]}"]) == 0, argv
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert len(outputs["sorted"]) == len(commands) + 2  # and the two Williams tables
+    assert outputs["shuffled"] == outputs["sorted"]

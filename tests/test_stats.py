@@ -9,7 +9,6 @@ from pe_rank.stats import (
     ks_survival,
     ks_two_sample,
     regularized_incomplete_beta,
-    standardize,
     student_t_sf,
     weighted_mean_std,
     williams_test,
@@ -81,7 +80,7 @@ KS_SURVIVAL_AT_ONE = 0.26999967167735456
 
 
 # ---------------------------------------------------------------------------
-# weighted_mean_std / standardize
+# weighted_mean_std
 
 
 def test_weighted_equal_weights_reduce_to_unweighted():
@@ -111,23 +110,6 @@ def test_weighted_equal_weights_property(values):
     arr = np.asarray(values)
     assert mean == pytest.approx(float(arr.mean()), abs=1e-9)
     assert std == pytest.approx(float(arr.std()), abs=1e-9)
-
-
-def test_standardize_two_points():
-    assert standardize([0.0, 2.0]) == pytest.approx([-1.0, 1.0])
-
-
-def test_standardize_idempotent():
-    once = standardize([4.0, 7.0, 1.0, 3.0])
-    again = standardize(list(once))
-    assert np.allclose(once, again, atol=1e-12)
-    assert abs(once.mean()) < 1e-12
-    assert abs(once.std() - 1.0) < 1e-12
-
-
-def test_standardize_constant_errors():
-    with pytest.raises(ValueError):
-        standardize([5.0, 5.0, 5.0])
 
 
 # ---------------------------------------------------------------------------

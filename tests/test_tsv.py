@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,17 @@ _scores_row = st.builds(
 )
 
 
-@given(st.lists(_scores_row, max_size=6, unique_by=lambda r: (r.segment_id, r.annotator_id)))
+def _one_length_per_segment(rows: list[SegmentScores]) -> list[SegmentScores]:
+    """The rows, each with the mt_tokens of its segment's first row, as a scores file has."""
+    first: dict[str, int] = {}
+    return [replace(r, mt_tokens=first.setdefault(r.segment_id, r.mt_tokens)) for r in rows]
+
+
+@given(
+    st.lists(_scores_row, max_size=6, unique_by=lambda r: (r.segment_id, r.annotator_id)).map(
+        _one_length_per_segment
+    )
+)
 def test_scores_round_trip_is_exact(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.tsv"
