@@ -21,7 +21,6 @@ from .rankeval import (
     GOLD_METRIC,
     METRICS,
     Metric,
-    RankInstance,
     effort_order,
     effort_oriented,
     satra,
@@ -41,40 +40,47 @@ class ScoreViews:
     """Score rows as columns, one set per annotator view and one for ALL.
 
     The rows are read once and not kept. Each view holds, in segment id order,
-    an int `mt_tokens` column and a float64 column per field of FLOAT_FIELDS,
-    NaN where a row has no value (None). A view must cover every segment of
-    the rows. That check is made when the view is asked for, so a command
-    that needs only the ALL view runs when some annotator has gaps.
+    a float64 column per field of FLOAT_FIELDS, NaN where a row has no value
+    (None), and shares the one int `mt_tokens` column: every row of a segment
+    must carry the same `mt_tokens`. A view must cover every segment of the
+    rows. That check is made when the view is asked for, so a command that
+    needs only the ALL view runs when some annotator has gaps.
     """
 
     def __init__(self, rows: Iterable[SegmentScores]) -> None:
-        read: dict[str, tuple[list[str], list[int], array]] = {}
+        read: dict[str, tuple[list[str], array]] = {}
+        tokens: dict[str, int] = {}  # segment id -> mt_tokens
         missing = 0  # None cells, stored as NaN
         for row in rows:
             if row.annotator_id not in read:
-                read[row.annotator_id] = ([], [], array("d"))
-            ids, tokens, cells = read[row.annotator_id]
+                read[row.annotator_id] = ([], array("d"))
+            ids, cells = read[row.annotator_id]
             ids.append(row.segment_id)
-            tokens.append(row.mt_tokens)
+            if tokens.setdefault(row.segment_id, row.mt_tokens) != row.mt_tokens:
+                raise ValueError(
+                    f"segment '{row.segment_id}' has mt_tokens {tokens[row.segment_id]}"
+                    f" and {row.mt_tokens}"
+                )
             values = _float_cells(row)
             if None in values:
                 missing += values.count(None)
                 values = [math.nan if v is None else v for v in values]
             cells.extend(values)
-        segment_ids = {sid for ids, _, _ in read.values() for sid in ids}
-        self.segment_ids = sorted(segment_ids)
+        self.segment_ids = sorted(tokens)
         self.annotators = sorted(read.keys() - {ALL_ANNOTATORS})
+        mt_tokens = np.array([tokens[sid] for sid in self.segment_ids])
         self._columns: dict[str, dict[str, np.ndarray]] = {}
         self._gaps: dict[str, list[str]] = {}
-        for annotator, (ids, tokens, cells) in read.items():
-            if len(set(ids)) < len(ids):
+        for annotator, (ids, cells) in read.items():
+            seen = set(ids)
+            if len(seen) < len(ids):
                 raise ValueError(f"annotator '{annotator}' has two rows for one segment")
             order = sorted(range(len(ids)), key=ids.__getitem__)
             block = np.frombuffer(cells).reshape(len(ids), len(FLOAT_FIELDS))[order]
             missing -= np.count_nonzero(np.isnan(block))
             self._columns[annotator] = dict(zip(FLOAT_FIELDS, block.T.copy()))
-            self._columns[annotator]["mt_tokens"] = np.array(tokens)[order]
-            self._gaps[annotator] = sorted(segment_ids.difference(ids))
+            self._columns[annotator]["mt_tokens"] = mt_tokens
+            self._gaps[annotator] = sorted(tokens.keys() - seen)
         if missing:
             raise ValueError("NaN score in the rows (a missing value is None)")
 
@@ -118,24 +124,18 @@ def _metric_vectors(
 
 
 def _rho_satra(
-    views: ScoreViews, annotator: str, metric: Metric, values: Sequence[float],
-    gold: Sequence[float], times: np.ndarray, where: str = "",
+    metric: Metric, values: Sequence[float], gold: Sequence[float],
+    times: np.ndarray, lengths: np.ndarray, where: str = "",
 ) -> dict:
     """The rho and SATRA cells of one metric's row: its values against the gold."""
     try:
         rho = spearman(effort_oriented(values, metric.polarity), gold)
+        order = effort_order(values, metric.polarity)
+        satra_score = satra(times[order], lengths[order])
     except ValueError as exc:
         raise ValueError(f"{where}metric {metric.name}: {exc}") from None
-    order = effort_order(values, metric.polarity)
-    satra_score = satra(
-        RankInstance(
-            segment_ids=tuple(views.segment_ids[i] for i in order.tolist()),
-            times=tuple(times[order].tolist()),
-            lengths=tuple(views.column(annotator, "mt_tokens")[order].tolist()),
-        )
-    )
-    if not (math.isfinite(rho) and math.isfinite(satra_score)):
-        raise RuntimeError("internal invariant violation: non-finite rho/satra")
+    if not math.isfinite(rho):
+        raise RuntimeError("internal invariant violation: non-finite rho")
     return {"rho": rho, "satra": satra_score}
 
 
@@ -148,8 +148,9 @@ def build_rank_table(views: ScoreViews, annotator: str, williams_alpha: float = 
     """
     gold = views.column(annotator, GOLD_METRIC.field).tolist()
     times = views.column(annotator, "pe_time_sec")
+    lengths = views.column(annotator, "mt_tokens")
     vectors, notes = _metric_vectors(views, annotator, METRICS)
-    cells = {m: _rho_satra(views, annotator, m, v, gold, times) for m, v in vectors.items()}
+    cells = {m: _rho_satra(m, v, gold, times, lengths) for m, v in vectors.items()}
     rho = {m: c["rho"] for m, c in cells.items()}
     oriented = {m: effort_oriented(v, m.polarity) for m, v in vectors.items()}
     ranked_metrics = [m for m in vectors if m is not GOLD_METRIC]
@@ -232,12 +233,12 @@ def build_loo_table(views: ScoreViews) -> dict:
     for annotator in _loo_annotators(views):
         gold = loo_gold(views, annotator)
         times = np.array(gold.gold_times)
+        lengths = views.column(annotator, "mt_tokens")
         vectors, view_notes = _metric_vectors(views, annotator, [m for m in METRICS if m.loo])
         notes.extend(n for n in view_notes if n not in notes)
         for metric, values in vectors.items():
             cells = _rho_satra(
-                views, annotator, metric, values, gold.gold_petpw, times,
-                f"annotator '{annotator}', ",
+                metric, values, gold.gold_petpw, times, lengths, f"annotator '{annotator}', "
             )
             table.append({"annotator": annotator, "metric": metric.name, **cells})
     return {"rows": table, "notes": notes}
@@ -265,8 +266,8 @@ def build_tails(views: ScoreViews, side: str, max_cut: int, step: int) -> dict:
         raise ValueError(f"step {step} exceeds max cut {max_cut}")
     cuts = list(range(step, max_cut + 1, step))
 
-    def ranking(values: Sequence[float], metric: Metric) -> list[str]:
-        ranked = [views.segment_ids[i] for i in effort_order(values, metric.polarity).tolist()]
+    def ranking(values: Sequence[float], metric: Metric) -> list[int]:
+        ranked = effort_order(values, metric.polarity).tolist()
         return ranked[::-1] if side == "worst" else ranked
 
     gold_rank = ranking(gold, GOLD_METRIC)

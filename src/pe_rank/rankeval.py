@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,32 +65,6 @@ DA_METRIC = next(m for m in METRICS if m.kind is MetricKind.DA)
 
 # Effort orientation of each metric, by name.
 METRIC_POLARITY: dict[str, Polarity] = {m.name: m.polarity for m in METRICS}
-
-
-@dataclass(frozen=True)
-class RankInstance:
-    """A ranking with the measured time and length of each ranked segment.
-
-    Position j holds the id ranked j-th (least effort first), its total
-    post-editing time in seconds, and its MT length in tokens.
-    """
-
-    segment_ids: tuple[str, ...]
-    times: tuple[float, ...]
-    lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.segment_ids)
-        if n < 2:
-            raise ValueError("ranking needs at least 2 segments")
-        if len(self.times) != n or len(self.lengths) != n:
-            raise ValueError("segment_ids, times, lengths must have equal length")
-        if len(set(self.segment_ids)) != n:
-            raise ValueError("duplicate segment id in ranking")
-        if any(l < 1 for l in self.lengths):
-            raise ValueError("lengths must be positive")
-        if any(t < 0 for t in self.times):
-            raise ValueError("times must be non-negative")
 
 
 def effort_oriented(values: Sequence[float], polarity: Polarity) -> list[float]:
@@ -150,30 +124,47 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.dot(dx, dy) / math.sqrt(vx * vy))
 
 
-def satra(inst: RankInstance) -> float:
+def _running_sums(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """0.0 followed by each prefix sum of `values`, added in order from 0.0 as a
+    `+=` loop does (np.sum would add pairwise and can differ in the last bit)."""
+    return np.cumsum(np.concatenate(([0.0], values)))
+
+
+def satra(times: Sequence[float] | np.ndarray, lengths: Sequence[int] | np.ndarray) -> float:
     """Split-averaged time-ratio assessment of a ranking; lower is better.
 
-    For every split point the average time-per-word of the segments ranked
-    above it is divided by the average time-per-word of those below it; the
-    score is the mean of these ratios over all N-1 splits. A ranking that
-    puts quick-to-post-edit segments first scores below 1, a random ranking
-    scores close to 1.
+    `times` and `lengths` hold each ranked segment's post-editing time in
+    seconds and MT length in tokens, least effort first. For every split
+    point the average time-per-word of the segments ranked above it is
+    divided by the average time-per-word of those below it; the score is the
+    mean of these ratios over all N-1 splits. A ranking that puts
+    quick-to-post-edit segments first scores below 1, a random ranking
+    scores close to 1. Times that leave a zero-time suffix, or whose ratios
+    over- or underflow, raise "degenerate times".
     """
-    n = len(inst.segment_ids)
-    total_time = sum(inst.times)
-    total_len = sum(inst.lengths)
-    time_prefix = 0.0
-    len_prefix = 0
-    acc = 0.0
-    for j in range(n - 1):
-        time_prefix += inst.times[j]
-        len_prefix += inst.lengths[j]
-        time_suffix = total_time - time_prefix
-        len_suffix = total_len - len_prefix
-        if time_suffix <= 0:
+    times = np.asarray(times, dtype=float)
+    lengths = np.asarray(lengths)
+    n = len(times)
+    if n < 2:
+        raise ValueError("ranking needs at least 2 segments")
+    if len(lengths) != n:
+        raise ValueError("times, lengths must have equal length")
+    if (lengths < 1).any():
+        raise ValueError("lengths must be positive")
+    if (times < 0).any():
+        raise ValueError("times must be non-negative")
+    with np.errstate(all="ignore"):  # overflow and underflow are caught below
+        time_prefix = _running_sums(times)[1:]
+        len_prefix = np.cumsum(lengths)
+        time_suffix = time_prefix[-1] - time_prefix[:-1]
+        if (time_suffix <= 0).any():
             raise ValueError("degenerate times: zero-time suffix")
-        acc += (time_prefix / len_prefix) / (time_suffix / len_suffix)
-    return acc / (n - 1)
+        len_suffix = len_prefix[-1] - len_prefix[:-1]
+        ratios = (time_prefix[:-1] / len_prefix[:-1]) / (time_suffix / len_suffix)
+        score = float(_running_sums(ratios)[-1] / (n - 1))
+    if not (np.isfinite(ratios).all() and math.isfinite(score)):
+        raise ValueError("degenerate times: a time-per-word ratio over- or underflows")
+    return score
 
 
 def delta_avg(
@@ -194,21 +185,20 @@ def delta_avg(
     missing = [sid for sid in ranking if sid not in gold]
     if missing:
         raise ValueError(f"no gold value for segment '{missing[0]}'")
-    values = [gold[sid] for sid in ranking]
-    overall = sum(values) / n
-    base = n // quantiles
-    acc = 0.0
-    head = 0
-    for _ in range(quantiles - 1):
-        head += base
-        acc += sum(values[:head]) / head - overall
-    return acc / (quantiles - 1)
+    heads = np.arange(1, quantiles) * (n // quantiles)
+    with np.errstate(all="ignore"):  # an overflow gives inf or NaN, as Python floats do
+        prefix = _running_sums([gold[sid] for sid in ranking])
+        gains = prefix[heads] / heads - prefix[n] / n
+        return float(_running_sums(gains)[-1] / (quantiles - 1))
 
 
 def tail_overlap(
-    gold_rank: Sequence[str], metric_rank: Sequence[str], cuts: Sequence[int]
+    gold_rank: Sequence[Hashable], metric_rank: Sequence[Hashable], cuts: Sequence[int]
 ) -> list[int]:
-    """Shared segments between the top-c slices of two rankings, per cut."""
+    """Shared segments between the top-c slices of two rankings, per cut.
+
+    A ranking may list segment ids or view positions; both must use the same.
+    """
     if set(gold_rank) != set(metric_rank) or len(gold_rank) != len(metric_rank):
         raise ValueError("rankings must permute the same segment ids")
     n = len(gold_rank)

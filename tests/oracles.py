@@ -3,8 +3,9 @@
 Everything here is deliberately naive: full-matrix dynamic programming,
 breadth-first search over shift sequences, exhaustive alignment enumeration,
 plain rank-then-Pearson arithmetic, the leave-one-out mean as Python's `sum`
-adds it (`loo_mean`), and the loop and sort key that ranked before numpy did
-(`tie_loop_fractional_ranks`, `signed_key_ranking`). None of it shares code
+adds it (`loo_mean`), and the loops and sort key that ranked and scored
+rankings before numpy did (`tie_loop_fractional_ranks`, `signed_key_ranking`,
+`satra_loop`, `delta_avg_loop`). None of it shares code
 with the package so a bug cannot hide on both sides of a comparison, except
 `score_corpus_per_session`: it checks how scoring fans out over sessions, not
 the metrics, so it calls the package's metric functions.
@@ -185,6 +186,54 @@ def satra_directly(times: Sequence[float], lengths: Sequence[int]) -> float:
         bottom = sum(times[j:]) / sum(lengths[j:])
         acc += top / bottom
     return acc / (n - 1)
+
+
+def _added(values: Sequence[float]) -> float:
+    """The values added in order from 0.0 with `+=`. Python 3.12's `sum` adds
+    floats with compensation, so it would round differently by version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def satra_loop(times: Sequence[float], lengths: Sequence[int]) -> float:
+    """SATRA as one pass over the splits of a ranking, least effort first.
+
+    A zero-time suffix raises ValueError; a suffix whose time per word
+    underflows to 0 raises ZeroDivisionError; overflow returns inf or NaN.
+    """
+    n = len(times)
+    total_time = _added(times)
+    total_len = 0
+    for length in lengths:
+        total_len += length
+    time_prefix = 0.0
+    len_prefix = 0
+    acc = 0.0
+    for j in range(n - 1):
+        time_prefix += times[j]
+        len_prefix += lengths[j]
+        time_suffix = total_time - time_prefix
+        len_suffix = total_len - len_prefix
+        if time_suffix <= 0:
+            raise ValueError("degenerate times: zero-time suffix")
+        acc += (time_prefix / len_prefix) / (time_suffix / len_suffix)
+    return acc / (n - 1)
+
+
+def delta_avg_loop(ranking: Sequence[str], gold: dict[str, float], quantiles: int) -> float:
+    """DeltaAVG with every head mean added from scratch (inputs assumed valid)."""
+    n = len(ranking)
+    values = [gold[sid] for sid in ranking]
+    overall = _added(values) / n
+    base = n // quantiles
+    acc = 0.0
+    head = 0
+    for _ in range(quantiles - 1):
+        head += base
+        acc += _added(values[:head]) / head - overall
+    return acc / (quantiles - 1)
 
 
 def brute_force_min_satra(times: Sequence[float], lengths: Sequence[int]) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from pe_rank.cli import main
-from pe_rank.rankeval import RankInstance, satra, spearman
+from pe_rank.rankeval import satra, spearman
 from pe_rank.stats import ks_two_sample, williams_test
 from pe_rank.textmetrics import ter, word_edit_distance
 
@@ -82,12 +82,7 @@ def test_criterion_2_satra_optimality():
         lengths = [length] * n
         times = [float(rng.randint(1, 12)) for _ in range(n)]
         order = sorted(range(n), key=lambda i: (times[i] / lengths[i], i))
-        inst = RankInstance(
-            segment_ids=tuple(f"s{i}" for i in order),
-            times=tuple(times[i] for i in order),
-            lengths=tuple(lengths[i] for i in order),
-        )
-        sorted_score = satra(inst)
+        sorted_score = satra([times[i] for i in order], [lengths[i] for i in order])
         best = brute_force_min_satra(times, lengths)
         assert sorted_score <= best + 1e-12, (trial, times, lengths)
     _ok("2 SATRA optimality: ascending-PETpW ranking attains the exact "

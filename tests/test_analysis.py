@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,8 +85,13 @@ def _all_row(sid: str, hter: float) -> SegmentScores:
 
 @pytest.mark.parametrize(
     "bad, message",
-    [(_all_row("s3", math.nan), "NaN score"), (_all_row("s0", 0.2), "two rows for one segment")],
-    ids=["nan", "duplicate"],
+    [
+        (_all_row("s3", math.nan), "NaN score"),
+        (_all_row("s0", 0.2), "two rows for one segment"),
+        (replace(_all_row("s1", 0.2), annotator_id="a", mt_tokens=4),
+         "segment 's1' has mt_tokens 3 and 4"),
+    ],
+    ids=["nan", "duplicate", "mt_tokens"],
 )
 def test_bad_row_is_rejected(bad, message):
     rows = [_all_row(f"s{i}", 0.2) for i in range(3)]

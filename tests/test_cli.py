@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ def _write_corpus(tmp_path: Path, seg_rows: list[str], sess_rows: list[str]):
 
 
 def _row(sid, annotator, pw, L=10, **overrides) -> SegmentScores:
-    rng = random.Random(hash((sid, annotator)) & 0xFFFF)
+    rng = random.Random(f"{sid}/{annotator}")  # str seeds do not depend on PYTHONHASHSEED
     base = dict(
         segment_id=sid,
         annotator_id=annotator,
@@ -495,4 +496,20 @@ def test_undefined_correlation_names_the_metric(tmp_path, capsys, command, messa
     out = tmp_path / "out.tsv"
     assert main(command + ["--scores", str(scores), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("time", [1e308, 5e-324], ids=["overflow", "underflow"])
+def test_rank_eval_times_that_over_or_underflow_exit_1(tmp_path, capsys, time):
+    golden = Path(__file__).parent / "golden" / "fixtures" / "expected" / "scores.tsv"
+    rows = [
+        replace(r, pe_time_sec=time) if r.annotator_id == "ANN0" else r
+        for r in read_scores(golden)
+    ]
+    scores = tmp_path / "scores.tsv"
+    write_scores(rows, scores)
+    out = tmp_path / "out.tsv"
+    argv = ["rank-eval", "--scores", str(scores), "--annotator", "ANN0", "--out", str(out)]
+    assert main(argv) == 1
+    assert "error: metric TER: degenerate times" in capsys.readouterr().err
     assert not out.exists()

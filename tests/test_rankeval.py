@@ -3,12 +3,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pe_rank.rankeval import (
     Polarity,
-    RankInstance,
     delta_avg,
     effort_order,
     fractional_ranks,
@@ -18,7 +18,13 @@ from pe_rank.rankeval import (
     tail_overlap,
 )
 
-from oracles import satra_directly, signed_key_ranking, tie_loop_fractional_ranks
+from oracles import (
+    delta_avg_loop,
+    satra_directly,
+    satra_loop,
+    signed_key_ranking,
+    tie_loop_fractional_ranks,
+)
 
 HIGHER = Polarity.HIGHER_IS_MORE_EFFORT
 LOWER = Polarity.LOWER_IS_MORE_EFFORT
@@ -107,39 +113,39 @@ def test_spearman_monotone_transform_invariance(x, a, b, c, d):
 # satra
 
 
-def _instance(times, lengths):
-    ids = tuple(f"s{i}" for i in range(len(times)))
-    return RankInstance(ids, tuple(times), tuple(lengths))
-
-
 def test_satra_easy_first():
-    assert satra(_instance([1.0, 2.0], [1, 1])) == pytest.approx(0.5)
+    assert satra([1.0, 2.0], [1, 1]) == pytest.approx(0.5)
 
 
 def test_satra_hard_first():
-    assert satra(_instance([2.0, 1.0], [1, 1])) == pytest.approx(2.0)
+    assert satra([2.0, 1.0], [1, 1]) == pytest.approx(2.0)
 
 
 def test_satra_uniform_petpw_is_one():
     # times proportional to lengths: every split ratio is exactly 1
-    assert satra(_instance([2.0, 6.0, 4.0], [1, 3, 2])) == pytest.approx(1.0)
+    assert satra([2.0, 6.0, 4.0], [1, 3, 2]) == pytest.approx(1.0)
 
 
 def test_satra_rejects_small_instances():
     with pytest.raises(ValueError):
-        RankInstance(("s1",), (1.0,), (1,))
+        satra((1.0,), (1,))
 
 
 def test_satra_zero_time_suffix():
     with pytest.raises(ValueError, match="degenerate times"):
-        satra(_instance([1.0, 0.0], [1, 1]))
+        satra([1.0, 0.0], [1, 1])
 
 
 def test_rank_instance_validation():
-    with pytest.raises(ValueError, match="duplicate"):
-        RankInstance(("s1", "s1"), (1.0, 2.0), (1, 1))
     with pytest.raises(ValueError, match="positive"):
-        RankInstance(("s1", "s2"), (1.0, 2.0), (0, 1))
+        satra((1.0, 2.0), (0, 1))
+
+
+def test_satra_rejects_unequal_lengths_and_negative_times():
+    with pytest.raises(ValueError, match="equal length"):
+        satra((1.0, 2.0), (1, 1, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        satra((1.0, -2.0), (1, 1))
 
 
 @given(
@@ -148,8 +154,9 @@ def test_rank_instance_validation():
 )
 def test_satra_matches_direct_formula(times, length):
     lengths = [length] * len(times)
-    inst = _instance([float(t) for t in times], lengths)
-    assert satra(inst) == pytest.approx(satra_directly(times, lengths), abs=1e-12)
+    assert satra([float(t) for t in times], lengths) == pytest.approx(
+        satra_directly(times, lengths), abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +277,63 @@ def test_spearman_rejects_nan():
         spearman([1, math.nan, 3, 2], [1, 2, 3, 4])
     with pytest.raises(ValueError, match="NaN"):
         spearman([1, 2, 3, 4], [1, 2, math.nan, 4])
+
+
+# Times in ranked order: a few distinct values per case, so ties are heavy;
+# signed zeros, subnormals, lognormal spreads and values whose sums overflow.
+_TIME = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1.0, 3.0, 1e308]) | st.randoms(
+    use_true_random=False
+).map(lambda rng: rng.lognormvariate(0.0, 2.0))
+
+
+@st.composite
+def _ranked_times_and_lengths(draw) -> tuple[list[float], list[int]]:
+    n = draw(st.integers(2, 40))
+    pool = draw(st.lists(_TIME, min_size=1, max_size=4))
+    times = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    return times, lengths
+
+
+@given(_ranked_times_and_lengths())
+def test_satra_matches_loop_bit_for_bit(case):
+    times, lengths = case
+    try:
+        expected = satra_loop(times, lengths)
+    except ValueError as exc:  # a zero-time suffix
+        with pytest.raises(ValueError, match=str(exc)):
+            satra(times, lengths)
+        return
+    except ZeroDivisionError:  # a suffix's time per word underflows to 0
+        expected = math.nan
+    if not math.isfinite(expected):
+        with pytest.raises(ValueError, match="degenerate times"):
+            satra(times, lengths)
+        return
+    assert repr(satra(times, lengths)) == repr(expected)
+    assert repr(satra(np.array(times), np.array(lengths))) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[4.0, 0.0, -0.0, 0.0, 0.0], [4.0, 2.0, 1.0, 0.0, -0.0], [4.0, 2.0, 1.0, 3.0, 0.0]],
+    ids=["first-split", "middle-split", "last-split"],
+)
+def test_satra_zero_time_suffix_at_any_split(times):
+    for score in (satra, satra_loop):
+        with pytest.raises(ValueError, match="degenerate times: zero-time suffix"):
+            score(times, [1, 2, 3, 4, 5])
+
+
+@given(
+    st.lists(_TIME | st.floats(-1e6, 1e6), min_size=2, max_size=40),
+    st.data(),
+)
+def test_delta_avg_matches_loop_bit_for_bit(values, data):
+    quantiles = data.draw(st.integers(2, len(values)))
+    ids = [f"s{i}" for i in range(len(values))]
+    gold = dict(zip(ids, values))
+    ranking = data.draw(st.permutations(ids))
+    assert repr(delta_avg(ranking, gold, quantiles)) == repr(
+        delta_avg_loop(ranking, gold, quantiles)
+    )
