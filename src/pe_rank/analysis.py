@@ -7,6 +7,7 @@ Python values, ready to write. Bad input raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, fields
@@ -156,6 +157,7 @@ def build_rank_table(views: ScoreViews, annotator: str, williams_alpha: float = 
     ranked_metrics = [m for m in vectors if m is not GOLD_METRIC]
     best = max(ranked_metrics, key=lambda m: rho[m]) if ranked_metrics else None
 
+    @functools.cache  # p_vs_best asks again for pairs the pair table computed
     def williams_pair(a: Metric, b: Metric) -> tuple[float | None, float | None]:
         try:
             result = williams_test(spearman(oriented[a], oriented[b]), rho[a], rho[b], len(gold))

@@ -31,7 +31,7 @@ from .analysis import (
     build_tails,
     stage,
 )
-from .corpus import CorpusError, format_tsv, load_corpus, read_tsv
+from .corpus import CorpusError, format_tsv, load_corpus, read_tsv, validate_corpus
 from .taskmetrics import SegmentScores, score_corpus
 from .textmetrics import ter  # noqa: F401 - perfbench/test_generate.py traces this binding
 
@@ -39,6 +39,9 @@ SCORES_HEADER = tuple(f.name for f in fields(SegmentScores))
 
 # The one input-error class, under the name this module's callers know.
 CliError = CorpusError
+
+# Missing sessions named in the error that stops `report`.
+_GAPS_SHOWN = 3
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +127,10 @@ def cmd_report(args: argparse.Namespace) -> None:
     # the output directory is made only after every table is built, so a run
     # that fails at any stage writes nothing
     corpus = stage("load", load_corpus, args.segments, args.sessions)
+    gaps = [w.message for w in validate_corpus(corpus) if w.kind == "missing-session"]
+    if gaps:  # every per-annotator table needs every session; fail before scoring
+        more = f" (and {len(gaps) - _GAPS_SHOWN} more)" if len(gaps) > _GAPS_SHOWN else ""
+        raise CliError(f"validate: {'; '.join(gaps[:_GAPS_SHOWN])}{more}")
     rows = stage("score", score_corpus, corpus)
     report = build_report(ScoreViews(rows), args.williams_alpha, args.ks_alpha)
     scatter = stage("scatter", build_scatter, rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 # Standard TER shift constraints: blocks of at most this many tokens may be
 # moved; the move distance is unbounded.
@@ -47,17 +47,75 @@ class MeteorResult:
     score: float
 
 
-def word_edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> int:
-    """Levenshtein distance over tokens with unit costs."""
-    if len(hyp) < len(ref):  # fewer columns, same result (the metric is symmetric)
-        hyp, ref = ref, hyp
-    prev = list(range(len(ref) + 1))
-    for i, h in enumerate(hyp, 1):
-        cur = [i] + [0] * len(ref)
-        for j, r in enumerate(ref, 1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (h != r))
-        prev = cur
-    return prev[-1]
+def _match_masks(ref: Sequence[str]) -> dict[str, int]:
+    """Per token, the bit mask of its positions in `ref` (bit j for ref[j])."""
+    peq: dict[str, int] = {}
+    for j, tok in enumerate(ref):
+        peq[tok] = peq.get(tok, 0) | 1 << j
+    return peq
+
+
+def _advance(
+    tokens: Iterable[str], peq: dict[str, int], m: int, vp: int, vn: int, dist: int
+) -> tuple[int, int, int]:
+    """Carry the DP column against a length-m reference over `tokens`.
+
+    The column is held as Hyyrö's vertical delta vectors: bit j of `vp`
+    (`vn`) is set when D[j+1] - D[j] is +1 (-1); `dist` is its last cell.
+    """
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    for tok in tokens:
+        eq = peq.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        if ph & high:
+            dist += 1
+        elif mh & high:
+            dist -= 1
+        ph = ph << 1 | 1  # row 0 of the global DP grows by one per token
+        vp = (mh << 1 | ~(xv | ph)) & mask
+        vn = ph & xv
+    return vp, vn, dist
+
+
+def word_edit_distance(
+    hyp: Sequence[str],
+    ref: Sequence[str],
+    *,
+    peq: dict[str, int] | None = None,
+    start: tuple[int, int, int, int] | None = None,
+) -> int:
+    """Levenshtein distance over tokens with unit costs.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 edit-distance form): the
+    reference is the pattern, one bit per reference token, and each
+    hypothesis token advances the whole DP column in a few int operations.
+    `ter` passes the reference's match masks as `peq` and, as `start`, the
+    column after `hyp[:k]` as (k, vp, vn, dist), so the scan resumes at k.
+    """
+    m = len(ref)
+    if not m:
+        return len(hyp)
+    if peq is None:
+        peq = _match_masks(ref)
+    k, vp, vn, dist = start if start is not None else (0, (1 << m) - 1, 0, m)
+    return _advance(hyp[k:], peq, m, vp, vn, dist)[2]
+
+
+def _column_states(
+    hyp: Sequence[str], ref: Sequence[str], peq: dict[str, int]
+) -> list[tuple[int, int, int, int]]:
+    """Entry k is the DP column after `hyp[:k]`, as a `start` for `word_edit_distance`."""
+    m = len(ref)
+    vp, vn, dist = (1 << m) - 1, 0, m
+    states = [(0, vp, vn, dist)]
+    for k, tok in enumerate(hyp, 1):
+        vp, vn, dist = _advance((tok,), peq, m, vp, vn, dist)
+        states.append((k, vp, vn, dist))
+    return states
 
 
 def _edit_breakdown(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, int]:
@@ -97,30 +155,13 @@ def _edit_breakdown(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, i
     return ins, dels, subs
 
 
-def _shift_candidates(
-    hyp: list[str], ref: Sequence[str]
-) -> Iterator[tuple[int, int, int, list[str]]]:
-    """Yield (block_start, block_len, dest, shifted_hyp) for every legal shift.
-
-    A block is shiftable when it exactly matches a contiguous reference span
-    and does not already match the reference at its current position.
-    """
-    n = len(hyp)
-    for b in range(n):
-        for length in range(1, min(MAX_SHIFT_BLOCK, n - b) + 1):
-            block = hyp[b : b + length]
-            if block == list(ref[b : b + length]):
-                continue  # aligned in place; moving it is not a repair
-            removed = hyp[:b] + hyp[b + length :]
-            seen_dests: set[int] = set()
-            for rpos in range(len(ref) - length + 1):
-                if list(ref[rpos : rpos + length]) != block:
-                    continue
-                dest = min(rpos, len(removed))
-                if dest == b or dest in seen_dests:
-                    continue
-                seen_dests.add(dest)
-                yield b, length, dest, removed[:dest] + block + removed[dest:]
+def _block_index(ref: Sequence[str]) -> dict[tuple[str, ...], list[int]]:
+    """Every reference block of up to MAX_SHIFT_BLOCK tokens -> its start positions, ascending."""
+    index: dict[tuple[str, ...], list[int]] = {}
+    for rpos in range(len(ref)):
+        for end in range(rpos + 1, min(rpos + MAX_SHIFT_BLOCK, len(ref)) + 1):
+            index.setdefault(tuple(ref[rpos:end]), []).append(rpos)
+    return index
 
 
 def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerResult:
@@ -130,23 +171,50 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerResult:
     distance (ties: smallest block start, then shortest block, then leftmost
     destination); each shift costs one edit and is only taken when it strictly
     reduces the distance, so total edits never exceed the plain edit distance.
+
+    A shift moves a block that matches a reference span, and does not already
+    match the reference at its own position, to where an occurrence of that
+    span starts (clamped to the end). A shifted hypothesis agrees with the
+    current one before min(block start, dest), so its distance resumes from
+    the DP column there.
     """
     if not ref:
         raise ValueError("empty reference")
+    peq = _match_masks(ref)
+    index = _block_index(ref)
     current = list(hyp)
     shifts = 0
-    dist = word_edit_distance(current, ref)
+    dist = word_edit_distance(current, ref, peq=peq)
     while dist > 0:
+        states = _column_states(current, ref, peq)
+        n = len(current)
         best_key: tuple[int, int, int, int] | None = None
         best_hyp: list[str] | None = None
-        for b, length, dest, shifted in _shift_candidates(current, ref):
-            gain = dist - word_edit_distance(shifted, ref)
-            if gain < 1:
-                continue
-            key = (-gain, b, length, dest)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_hyp = shifted
+        for b in range(n):
+            for length in range(1, min(MAX_SHIFT_BLOCK, n - b) + 1):
+                block = current[b : b + length]
+                positions = index.get(tuple(block))
+                if positions is None:
+                    break  # no longer block from b is a reference span either
+                if block == list(ref[b : b + length]):
+                    continue  # aligned in place; moving it is not a repair
+                removed = current[:b] + current[b + length :]
+                last_dest = -1
+                for rpos in positions:
+                    dest = min(rpos, n - length)
+                    if dest == b or dest == last_dest:  # clamped dests repeat in a run
+                        continue
+                    last_dest = dest
+                    shifted = removed[:dest] + block + removed[dest:]
+                    gain = dist - word_edit_distance(
+                        shifted, ref, peq=peq, start=states[min(b, dest)]
+                    )
+                    if gain < 1:
+                        continue
+                    key = (-gain, b, length, dest)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_hyp = shifted
         if best_key is None:
             break
         shifts += 1

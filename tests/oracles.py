@@ -1,6 +1,8 @@
 """Independent oracle implementations used only by the tests.
 
 Everything here is deliberately naive: full-matrix dynamic programming,
+the two-row DP and DP-scored greedy TER that the package used before its
+bit-parallel edit distance (`dp_word_edit_distance`, `dp_ter`),
 breadth-first search over shift sequences, exhaustive alignment enumeration,
 plain rank-then-Pearson arithmetic, the leave-one-out mean as Python's `sum`
 adds it (`loo_mean`), and the loops and sort key that ranked and scored
@@ -38,10 +40,12 @@ def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     return d[-1][-1]
 
 
-def shift_moves(state: tuple[str, ...], ref: Sequence[str], max_block: int = 10):
-    """Every legal block shift of `state`: the block must match a reference
-    span, must not already match the reference at its own position, and lands
-    at the (clamped) position of a reference occurrence."""
+def shift_moves(state: Sequence[str], ref: Sequence[str], max_block: int = 10):
+    """Every legal block shift of `state` as (block start, block length, dest,
+    shifted state): the block must match a reference span, must not already
+    match the reference at its own position, and lands at the (clamped)
+    position of a reference occurrence. Moves come in (start, length, dest)
+    order."""
     n = len(state)
     for b in range(n):
         for length in range(1, min(max_block, n - b) + 1):
@@ -57,7 +61,7 @@ def shift_moves(state: tuple[str, ...], ref: Sequence[str], max_block: int = 10)
                 if dest == b or dest in dests:
                     continue
                 dests.add(dest)
-                yield tuple(removed[:dest] + block + removed[dest:])
+                yield b, length, dest, tuple(removed[:dest] + block + removed[dest:])
 
 
 def exhaustive_shift_min(hyp: Sequence[str], ref: Sequence[str], max_block: int = 10) -> int:
@@ -78,7 +82,7 @@ def exhaustive_shift_min(hyp: Sequence[str], ref: Sequence[str], max_block: int 
         shifts += 1
         nxt = set()
         for state in frontier:
-            for moved in shift_moves(state, ref, max_block):
+            for *_, moved in shift_moves(state, ref, max_block):
                 if moved not in visited:
                     visited.add(moved)
                     nxt.add(moved)
@@ -86,6 +90,88 @@ def exhaustive_shift_min(hyp: Sequence[str], ref: Sequence[str], max_block: int 
             best = min(best, shifts + ed(state))
         frontier = nxt
     return best
+
+
+def dp_word_edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> int:
+    """Levenshtein distance over tokens by the two-row DP that the package
+    used before its bit-parallel form."""
+    if len(hyp) < len(ref):  # fewer columns, same result (the metric is symmetric)
+        hyp, ref = ref, hyp
+    prev = list(range(len(ref) + 1))
+    for i, h in enumerate(hyp, 1):
+        cur = [i] + [0] * len(ref)
+        for j, r in enumerate(ref, 1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (h != r))
+        prev = cur
+    return prev[-1]
+
+
+def edit_breakdown(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, int]:
+    """(insertions, deletions, substitutions) along the optimal path that
+    prefers match, then substitution, then deletion, backtraced from the end."""
+    n, m = len(hyp), len(ref)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dist[i][0] = i
+    for j in range(m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dist[i][j] = min(
+                dist[i - 1][j] + 1,
+                dist[i][j - 1] + 1,
+                dist[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]),
+            )
+    ins = dels = subs = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]):
+            if hyp[i - 1] != ref[j - 1]:
+                subs += 1
+            i -= 1
+            j -= 1
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return ins, dels, subs
+
+
+def dp_ter(hyp: Sequence[str], ref: Sequence[str], max_block: int = 10) -> dict:
+    """Greedy TER as the package computed it before its bit-parallel form:
+    every legal shift is scored with a fresh DP, the shift with the largest
+    gain wins (ties: smallest block start, shortest block, leftmost dest),
+    and shifting stops when no shift strictly lowers the distance. Returns
+    the fields of a `TerResult` as a dict."""
+    current = list(hyp)
+    shifts = 0
+    dist = dp_word_edit_distance(current, ref)
+    while dist > 0:
+        best_key = None
+        best_hyp = None
+        for b, length, dest, shifted in shift_moves(current, ref, max_block):
+            gain = dist - dp_word_edit_distance(shifted, ref)
+            if gain < 1:
+                continue
+            key = (-gain, b, length, dest)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_hyp = list(shifted)
+        if best_key is None:
+            break
+        shifts += 1
+        dist += best_key[0]
+        current = best_hyp
+    ins, dels, subs = edit_breakdown(current, ref)
+    edits = shifts + dist
+    return {
+        "edits": edits,
+        "ref_len": len(ref),
+        "score": edits / len(ref),
+        "breakdown": {"insertions": ins, "deletions": dels, "substitutions": subs, "shifts": shifts},
+    }
 
 
 def brute_min_chunks(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:

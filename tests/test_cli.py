@@ -452,6 +452,30 @@ def test_failed_report_writes_nothing(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
+def test_report_stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, capsys):
+    import pe_rank.cli as cli
+
+    def no_scoring(corpus):
+        raise AssertionError("scored a corpus with missing sessions")
+
+    monkeypatch.setattr(cli, "score_corpus", no_scoring)
+    segments, sessions = _write_corpus(
+        tmp_path,
+        [f"s{i}\tsys\tsrc\tmt here\tref here\t0.1" for i in range(1, 6)],
+        ["s1\tA\tmt here\t10\t5", "s2\tB\tmt here\t10\t5"],
+    )
+    out_dir = tmp_path / "report"
+    code = main(["report", "--segments", str(segments), "--sessions", str(sessions), "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: validate: annotator 'B' has no session for segment 's1'; "
+        "annotator 'A' has no session for segment 's2'; "
+        "annotator 'A' has no session for segment 's3' (and 5 more)\n"
+    )
+    assert not out_dir.exists()
+
+
 _REPORT = ["report", "--segments", "SEG", "--sessions", "SESS", "--out-dir", "OUT"]
 
 

@@ -7,10 +7,30 @@ from hypothesis import given, settings, strategies as st
 
 from pe_rank.textmetrics import bleu, meteor_lite, ter, word_edit_distance
 
-from oracles import brute_min_chunks, exhaustive_shift_min, levenshtein
+from oracles import brute_min_chunks, dp_ter, dp_word_edit_distance, exhaustive_shift_min, levenshtein
 
 tokens = st.lists(st.sampled_from("abcd"), min_size=0, max_size=6)
 nonempty_tokens = st.lists(st.sampled_from("abcd"), min_size=1, max_size=6)
+
+
+def word_pairs(vocab_sizes, hyp_lengths, ref_lengths):
+    """(hyp, ref) over one vocabulary of a drawn size, lengths drawn first so
+    that long inputs come up as often as short ones."""
+
+    def pair(v_n_m):
+        vocab = st.sampled_from([f"w{i}" for i in range(v_n_m[0])])
+        return st.tuples(
+            st.lists(vocab, min_size=v_n_m[1], max_size=v_n_m[1]),
+            st.lists(vocab, min_size=v_n_m[2], max_size=v_n_m[2]),
+        )
+
+    return st.tuples(vocab_sizes, hyp_lengths, ref_lengths).flatmap(pair)
+
+
+# Lengths up to 100 cross the 64-bit word boundary of the bit vectors.
+long_pairs = word_pairs(st.integers(1, 6), st.integers(0, 100), st.integers(0, 100))
+# Vocabularies of 2 to 5 words make many shifts tie on gain.
+ter_pairs = word_pairs(st.integers(2, 5), st.integers(0, 80), st.integers(1, 80))
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +55,12 @@ def test_kitten_sitting():
 @given(tokens, tokens)
 def test_edit_distance_matches_full_matrix_oracle(a, b):
     assert word_edit_distance(a, b) == levenshtein(a, b)
+
+
+@given(long_pairs)
+def test_edit_distance_matches_dp_on_long_inputs(pair):
+    hyp, ref = pair
+    assert word_edit_distance(hyp, ref) == dp_word_edit_distance(hyp, ref)
 
 
 @given(tokens, tokens)
@@ -104,6 +130,23 @@ def test_ter_breakdown_sums_to_edits(hyp, ref):
 @given(tokens, nonempty_tokens)
 def test_ter_at_least_exhaustive_shift_oracle(hyp, ref):
     assert ter(hyp, ref).edits >= exhaustive_shift_min(hyp, ref)
+
+
+@settings(max_examples=15, deadline=None)  # the DP oracle takes seconds at 80 tokens
+@given(ter_pairs)
+def test_ter_matches_dp_greedy_ter(pair):
+    hyp, ref = pair
+    assert ter(hyp, ref).__dict__ == dp_ter(hyp, ref)
+
+
+def test_ter_matches_dp_greedy_ter_on_unrelated_80_token_sentences():
+    rng = random.Random(0)
+    vocab = [f"w{i}" for i in range(30)]
+    hyp = [rng.choice(vocab) for _ in range(80)]
+    ref = [rng.choice(vocab) for _ in range(80)]
+    result = ter(hyp, ref)
+    assert result.__dict__ == dp_ter(hyp, ref)
+    assert result.breakdown["shifts"] == 14
 
 
 def test_ter_matches_oracle_on_displaced_blocks():
