@@ -106,47 +106,43 @@ def word_edit_distance(
 
 
 def _column_states(
-    hyp: Sequence[str], ref: Sequence[str], peq: dict[str, int]
+    hyp: Sequence[str], peq: dict[str, int], m: int
 ) -> list[tuple[int, int, int, int]]:
-    """Entry k is the DP column after `hyp[:k]`, as a `start` for `word_edit_distance`."""
-    m = len(ref)
-    vp, vn, dist = (1 << m) - 1, 0, m
-    states = [(0, vp, vn, dist)]
+    """Entry k is the DP column after `hyp[:k]` as (k, vp, vn, dist), the
+    form `word_edit_distance` takes as `start`."""
+    states = [(0, (1 << m) - 1, 0, m)]
     for k, tok in enumerate(hyp, 1):
-        vp, vn, dist = _advance((tok,), peq, m, vp, vn, dist)
-        states.append((k, vp, vn, dist))
+        states.append((k, *_advance((tok,), peq, m, *states[-1][1:])))
     return states
 
 
-def _edit_breakdown(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int, int]:
+def _edit_breakdown(
+    hyp: Sequence[str], ref: Sequence[str], peq: dict[str, int]
+) -> tuple[int, int, int]:
     """(insertions, deletions, substitutions) along one fixed-preference optimal path.
 
     Transforms hyp into ref: a deletion removes a hyp token, an insertion adds
     a ref token. Co-optimal paths can trade a substitution for other kinds, so
-    the backtrace prefers match, then substitution, then deletion.
+    the backtrace prefers match, then substitution, then deletion. Each DP
+    cell D[i][j] (hyp[:i] against ref[:j]) is read off the column after
+    hyp[:i]: i plus the vertical deltas of its rows below j.
     """
-    n, m = len(hyp), len(ref)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dist[i][j] = min(
-                dist[i - 1][j] + 1,
-                dist[i][j - 1] + 1,
-                dist[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]),
-            )
+    states = _column_states(hyp, peq, len(ref))
+
+    def cell(i: int, j: int) -> int:
+        low = (1 << j) - 1
+        return i + (states[i][1] & low).bit_count() - (states[i][2] & low).bit_count()
+
     ins = dels = subs = 0
-    i, j = n, m
+    i, j = len(hyp), len(ref)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]):
+        here = cell(i, j)
+        if i > 0 and j > 0 and here == cell(i - 1, j - 1) + (hyp[i - 1] != ref[j - 1]):
             if hyp[i - 1] != ref[j - 1]:
                 subs += 1
             i -= 1
             j -= 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+        elif i > 0 and here == cell(i - 1, j) + 1:
             dels += 1
             i -= 1
         else:
@@ -186,7 +182,7 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerResult:
     shifts = 0
     dist = word_edit_distance(current, ref, peq=peq)
     while dist > 0:
-        states = _column_states(current, ref, peq)
+        states = _column_states(current, peq, len(ref))
         n = len(current)
         best_key: tuple[int, int, int, int] | None = None
         best_hyp: list[str] | None = None
@@ -220,7 +216,7 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerResult:
         shifts += 1
         dist += best_key[0]  # key stores -gain
         current = best_hyp or current
-    ins, dels, subs = _edit_breakdown(current, ref)
+    ins, dels, subs = _edit_breakdown(current, ref, peq)
     edits = shifts + dist
     return TerResult(
         edits=edits,
