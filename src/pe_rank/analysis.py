@@ -12,11 +12,12 @@ import math
 from array import array
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import ALL_ANNOTATORS
+from .corpus import ALL_ANNOTATORS, CorpusError, read_tsv, read_tsv_columns
 from .rankeval import (
     DA_METRIC,
     GOLD_METRIC,
@@ -37,65 +38,143 @@ FLOAT_FIELDS = tuple(f.name for f in fields(SegmentScores) if f.type.startswith(
 _float_cells = attrgetter(*FLOAT_FIELDS)
 
 
+def iter_scores(path: str | Path) -> Iterator[SegmentScores]:
+    """The rows of a scores file written by `score` (or an equivalent producer),
+    parsed one at a time.
+
+    Beyond the cell and header checks of `read_tsv`, rejects a second row for
+    the same (segment, annotator) pair and a row whose mt_tokens differs from
+    an earlier row of its segment, naming the line.
+    """
+    seen: dict[str, set[str]] = {}  # annotator -> segment ids read so far
+    tokens: dict[str, int] = {}  # segment id -> mt_tokens of its first row
+    for lineno, row in read_tsv(path, SegmentScores, "scores"):
+        sid = row.segment_id
+        segments = seen.setdefault(row.annotator_id, set())
+        if sid in segments:
+            raise CorpusError(
+                f"scores: line {lineno}: duplicate row for segment "
+                f"'{sid}', annotator '{row.annotator_id}'"
+            )
+        segments.add(sid)
+        if tokens.setdefault(sid, row.mt_tokens) != row.mt_tokens:
+            raise CorpusError(
+                f"scores: line {lineno}: mt_tokens {row.mt_tokens} for segment '{sid}'"
+                f" differs from {tokens[sid]} on an earlier row"
+            )
+        yield row
+
+
 class ScoreViews:
     """Score rows as columns, one set per annotator view and one for ALL.
 
-    The rows are read once and not kept. Each view holds, in segment id order,
-    a float64 column per field of FLOAT_FIELDS, NaN where a row has no value
-    (None), and shares the one int `mt_tokens` column: every row of a segment
-    must carry the same `mt_tokens`. A view must cover every segment of the
-    rows. That check is made when the view is asked for, so a command that
-    needs only the ALL view runs when some annotator has gaps.
+    No row object is kept. Each view holds, in segment id order, a float64
+    column per field of FLOAT_FIELDS, NaN where a row has no value (None),
+    gathered from the rows when first asked for; all views share one int
+    `mt_tokens` column: every row of a segment must carry the same
+    `mt_tokens`. A view must cover every segment of the rows. That check is
+    made when the view is asked for, so a command that needs only the ALL
+    view runs when some annotator has gaps (`gaps` names them per view).
     """
 
     def __init__(self, rows: Iterable[SegmentScores]) -> None:
-        read: dict[str, tuple[list[str], array]] = {}
-        tokens: dict[str, int] = {}  # segment id -> mt_tokens
+        segments: dict[str, int] = {}  # segment id -> code
+        annotators: dict[str, int] = {}  # annotator id -> code
+        codes = array("q")  # segment code, annotator code, per row
+        tokens: list[int] = []
+        cells = array("d")
         missing = 0  # None cells, stored as NaN
         for row in rows:
-            if row.annotator_id not in read:
-                read[row.annotator_id] = ([], array("d"))
-            ids, cells = read[row.annotator_id]
-            ids.append(row.segment_id)
-            if tokens.setdefault(row.segment_id, row.mt_tokens) != row.mt_tokens:
-                raise ValueError(
-                    f"segment '{row.segment_id}' has mt_tokens {tokens[row.segment_id]}"
-                    f" and {row.mt_tokens}"
-                )
+            codes.append(segments.setdefault(row.segment_id, len(segments)))
+            codes.append(annotators.setdefault(row.annotator_id, len(annotators)))
+            tokens.append(row.mt_tokens)
             values = _float_cells(row)
             if None in values:
                 missing += values.count(None)
                 values = [math.nan if v is None else v for v in values]
             cells.extend(values)
-        self.segment_ids = sorted(tokens)
-        self.annotators = sorted(read.keys() - {ALL_ANNOTATORS})
-        mt_tokens = np.array([tokens[sid] for sid in self.segment_ids])
-        self._columns: dict[str, dict[str, np.ndarray]] = {}
-        self._gaps: dict[str, list[str]] = {}
-        for annotator, (ids, cells) in read.items():
-            seen = set(ids)
-            if len(seen) < len(ids):
-                raise ValueError(f"annotator '{annotator}' has two rows for one segment")
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            block = np.frombuffer(cells).reshape(len(ids), len(FLOAT_FIELDS))[order]
-            missing -= np.count_nonzero(np.isnan(block))
-            self._columns[annotator] = dict(zip(FLOAT_FIELDS, block.T.copy()))
-            self._columns[annotator]["mt_tokens"] = mt_tokens
-            self._gaps[annotator] = sorted(tokens.keys() - seen)
-        if missing:
+        block = np.array(cells).reshape(len(tokens), len(FLOAT_FIELDS))
+        pairs = np.array(codes).reshape(len(tokens), 2)
+        self._group(pairs[:, 0], list(segments), pairs[:, 1], list(annotators),
+                    np.array(tokens, dtype=np.int64), dict(zip(FLOAT_FIELDS, block.T)))
+        if np.count_nonzero(np.isnan(block)) != missing:
             raise ValueError("NaN score in the rows (a missing value is None)")
+
+    @classmethod
+    def read(cls, path: str | Path) -> ScoreViews:
+        """The views of a scores file, checked as by `iter_scores`.
+
+        The file is parsed column by column (`read_tsv_columns`); a file that
+        that parse does not take, or whose rows fail a check, is read row by
+        row through `iter_scores`, which names the first bad line.
+        """
+        columns = read_tsv_columns(path, SegmentScores, "scores")
+        if columns is not None:
+            views = cls.__new__(cls)
+            try:
+                views._group(*columns["segment_id"], *columns["annotator_id"],
+                             columns["mt_tokens"], {f: columns[f] for f in FLOAT_FIELDS})
+            except ValueError:
+                pass
+            else:
+                return views
+        return cls(iter_scores(path))
+
+    def _group(
+        self, segment_codes: np.ndarray, segments: list[str],
+        annotator_codes: np.ndarray, annotators: list[str],
+        mt_tokens: np.ndarray, floats: dict[str, np.ndarray],
+    ) -> None:
+        """Sort rows into views: row i is segment `segments[segment_codes[i]]`
+        as annotator `annotators[annotator_codes[i]]`, codes numbered in order
+        of first appearance. Raises ValueError for a segment whose rows differ
+        in mt_tokens, then for an annotator with two rows for one segment."""
+        n = len(segments)
+        first = np.unique(segment_codes, return_index=True)[1]  # first row of each segment
+        differ = mt_tokens != mt_tokens[first][segment_codes]
+        if differ.any():
+            row = int(np.argmax(differ))
+            code = segment_codes[row]
+            raise ValueError(
+                f"segment '{segments[code]}' has mt_tokens {mt_tokens[first[code]]}"
+                f" and {mt_tokens[row]}"
+            )
+        by_id = sorted(range(n), key=segments.__getitem__)
+        position = np.empty(n, dtype=np.int64)  # segment code -> place in segment id order
+        position[by_id] = np.arange(n)
+        keys = annotator_codes * n + position[segment_codes]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        twice = keys[1:] == keys[:-1]
+        if twice.any():
+            code = int(keys[1:][twice].min() // n)
+            raise ValueError(f"annotator '{annotators[code]}' has two rows for one segment")
+        self.segment_ids = [segments[code] for code in by_id]
+        self.annotators = sorted(set(annotators) - {ALL_ANNOTATORS})
+        self._mt_tokens = mt_tokens[first][by_id]
+        self._floats = floats
+        self._rows: dict[str, np.ndarray] = {}  # view -> its rows in segment id order
+        self.gaps: dict[str, list[str]] = {}  # view -> segment ids it lacks, in order
+        counts = np.bincount(annotator_codes, minlength=len(annotators))
+        for code, (annotator, end) in enumerate(zip(annotators, np.cumsum(counts))):
+            rows = slice(end - counts[code], end)
+            self._rows[annotator] = order[rows]
+            covered = keys[rows] - code * n
+            missing = np.setdiff1d(np.arange(n), covered)
+            self.gaps[annotator] = [self.segment_ids[i] for i in missing]
+        self._columns: dict[tuple[str, str], np.ndarray] = {}
 
     def column(self, annotator: str, field: str, optional: bool = False) -> np.ndarray:
         """One view's column in segment id order; a missing value raises unless `optional`."""
-        if annotator not in self._columns:
+        if annotator not in self._rows:
             raise ValueError(f"no rows for annotator '{annotator}'")
-        gaps = self._gaps[annotator]
+        gaps = self.gaps[annotator]
         if gaps:
             more = f" (and {len(gaps) - 1} more)" if len(gaps) > 1 else ""
             raise ValueError(
                 f"scores incomplete for annotator '{annotator}': missing segment '{gaps[0]}'{more}"
             )
-        values = self._columns[annotator][field]
+        values = self._column(annotator, field)
         if not optional and np.isnan(values).any():
             sid = self.segment_ids[int(np.argmax(np.isnan(values)))]
             raise ValueError(
@@ -103,6 +182,16 @@ class ScoreViews:
                 " (corpus without sessions?)"
             )
         return values
+
+    def _column(self, annotator: str, field: str) -> np.ndarray:
+        """One view's column in segment id order; a float column leaves the
+        view's gaps out, `mt_tokens` is the one column of every segment."""
+        if field == "mt_tokens":
+            return self._mt_tokens
+        key = (annotator, field)
+        if key not in self._columns:
+            self._columns[key] = self._floats[field][self._rows[annotator]]
+        return self._columns[key]
 
 
 def _metric_vectors(

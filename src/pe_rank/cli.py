@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .analysis import (
     ScoreViews,
@@ -29,9 +29,10 @@ from .analysis import (
     build_report,
     build_scatter,
     build_tails,
+    iter_scores,
     stage,
 )
-from .corpus import CorpusError, format_tsv, load_corpus, read_tsv, validate_corpus
+from .corpus import Corpus, CorpusError, format_tsv, load_corpus, validate_corpus
 from .taskmetrics import SegmentScores, score_corpus
 from .textmetrics import ter  # noqa: F401 - perfbench/test_generate.py traces this binding
 
@@ -40,7 +41,7 @@ SCORES_HEADER = tuple(f.name for f in fields(SegmentScores))
 # The one input-error class, under the name this module's callers know.
 CliError = CorpusError
 
-# Missing sessions named in the error that stops `report`.
+# Missing sessions named in the error that stops `score` and `report`.
 _GAPS_SHOWN = 3
 
 
@@ -56,33 +57,6 @@ def _write_tsv(path: Path, header: Sequence[str], rows: Iterable[dict]) -> None:
     path.write_text(format_tsv(header, rows), encoding="utf-8")
 
 
-def iter_scores(path: str | Path) -> Iterator[SegmentScores]:
-    """The rows of a scores file written by `score` (or an equivalent producer),
-    parsed one at a time.
-
-    Beyond the cell and header checks of `read_tsv`, rejects a second row for
-    the same (segment, annotator) pair and a row whose mt_tokens differs from
-    an earlier row of its segment, naming the line.
-    """
-    seen: dict[str, set[str]] = {}  # annotator -> segment ids read so far
-    tokens: dict[str, int] = {}  # segment id -> mt_tokens of its first row
-    for lineno, row in read_tsv(path, SegmentScores, "scores"):
-        sid = row.segment_id
-        segments = seen.setdefault(row.annotator_id, set())
-        if sid in segments:
-            raise CliError(
-                f"scores: line {lineno}: duplicate row for segment "
-                f"'{sid}', annotator '{row.annotator_id}'"
-            )
-        segments.add(sid)
-        if tokens.setdefault(sid, row.mt_tokens) != row.mt_tokens:
-            raise CliError(
-                f"scores: line {lineno}: mt_tokens {row.mt_tokens} for segment '{sid}'"
-                f" differs from {tokens[sid]} on an earlier row"
-            )
-        yield row
-
-
 def read_scores(path: str | Path) -> list[SegmentScores]:
     """Every row of a scores file, checked as by `iter_scores`."""
     return list(iter_scores(path))
@@ -92,8 +66,18 @@ def read_scores(path: str | Path) -> list[SegmentScores]:
 # commands
 
 
+def _check_sessions(corpus: Corpus) -> None:
+    """Raise CliError naming the missing sessions, if any: every per-annotator
+    table needs every session, and an ALL row would average over fewer."""
+    gaps = [w.message for w in validate_corpus(corpus) if w.kind == "missing-session"]
+    if gaps:
+        more = f" (and {len(gaps) - _GAPS_SHOWN} more)" if len(gaps) > _GAPS_SHOWN else ""
+        raise CliError(f"validate: {'; '.join(gaps[:_GAPS_SHOWN])}{more}")
+
+
 def cmd_score(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.segments, args.sessions)
+    _check_sessions(corpus)
     rows = score_corpus(corpus)
     write_scores(rows, args.out)
 
@@ -106,7 +90,7 @@ _STATS_HEADER = ("annotator", "metric", "mean", "std")
 
 
 def cmd_rank_eval(args: argparse.Namespace) -> None:
-    views = ScoreViews(iter_scores(args.scores))
+    views = ScoreViews.read(args.scores)
     table = build_rank_table(views, args.annotator, williams_alpha=args.williams_alpha)
     out = Path(args.out)
     _write_tsv(out, _RANK_HEADER, table["rows"])
@@ -114,12 +98,12 @@ def cmd_rank_eval(args: argparse.Namespace) -> None:
 
 
 def cmd_loo(args: argparse.Namespace) -> None:
-    table = build_loo_table(ScoreViews(iter_scores(args.scores)))
+    table = build_loo_table(ScoreViews.read(args.scores))
     _write_tsv(Path(args.out), _LOO_HEADER, table["rows"])
 
 
 def cmd_tails(args: argparse.Namespace) -> None:
-    table = build_tails(ScoreViews(iter_scores(args.scores)), args.side, args.max, args.step)
+    table = build_tails(ScoreViews.read(args.scores), args.side, args.max, args.step)
     _write_tsv(Path(args.out), _TAILS_HEADER, table["rows"])
 
 
@@ -127,10 +111,7 @@ def cmd_report(args: argparse.Namespace) -> None:
     # the output directory is made only after every table is built, so a run
     # that fails at any stage writes nothing
     corpus = stage("load", load_corpus, args.segments, args.sessions)
-    gaps = [w.message for w in validate_corpus(corpus) if w.kind == "missing-session"]
-    if gaps:  # every per-annotator table needs every session; fail before scoring
-        more = f" (and {len(gaps) - _GAPS_SHOWN} more)" if len(gaps) > _GAPS_SHOWN else ""
-        raise CliError(f"validate: {'; '.join(gaps[:_GAPS_SHOWN])}{more}")
+    _check_sessions(corpus)
     rows = stage("score", score_corpus, corpus)
     report = build_report(ScoreViews(rows), args.williams_alpha, args.ks_alpha)
     scatter = stage("scatter", build_scatter, rows)

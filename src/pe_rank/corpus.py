@@ -14,8 +14,11 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, fields
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 TokenList = list[str]
 T = TypeVar("T")
@@ -162,6 +165,28 @@ def _cell_parser(column: str, annotation: str) -> Callable[[str], object]:
     return parse
 
 
+def _cell_indices(
+    header: Sequence[str], cls: type, label: str, optional: Sequence[str] = ()
+) -> list[int | None]:
+    """The header's cell index of each field of `cls`, None for an absent optional one.
+
+    Raises CorpusError naming `label` for a duplicate, missing or unexpected column.
+    """
+    seen: set[str] = set()
+    for col in header:
+        if col in seen:
+            raise CorpusError(f"{label}: duplicate column '{col}'")
+        seen.add(col)
+    for f in fields(cls):
+        if f.name not in seen and f.name not in optional:
+            raise CorpusError(f"{label}: missing required column '{f.name}'")
+    known = {f.name for f in fields(cls)}
+    for col in header:
+        if col not in known:
+            raise CorpusError(f"{label}: unexpected column '{col}'")
+    return [header.index(f.name) if f.name in seen else None for f in fields(cls)]
+
+
 def _lines(source: str | Path | Iterable[str]) -> Iterator[str]:
     """Lines without their LF and one trailing CR, read one at a time."""
     if isinstance(source, (str, Path)):
@@ -190,21 +215,10 @@ def read_tsv(
     header = next((line.split("\t") for _, line in lines if line), None)
     if header is None:
         raise CorpusError(f"{label}: empty input (header row required)")
-    seen: set[str] = set()
-    for col in header:
-        if col in seen:
-            raise CorpusError(f"{label}: duplicate column '{col}'")
-        seen.add(col)
-    plan = []  # (cell index, or None for an absent column; parser), in field order
-    for f in fields(cls):
-        if f.name not in seen and f.name not in optional:
-            raise CorpusError(f"{label}: missing required column '{f.name}'")
-        index = header.index(f.name) if f.name in seen else None
-        plan.append((index, _cell_parser(f.name, f.type)))
-    known = {f.name for f in fields(cls)}
-    for col in header:
-        if col not in known:
-            raise CorpusError(f"{label}: unexpected column '{col}'")
+    plan = [  # (cell index, or None for an absent column; parser), in field order
+        (index, _cell_parser(f.name, f.type))
+        for f, index in zip(fields(cls), _cell_indices(header, cls, label, optional))
+    ]
     for lineno, line in lines:
         if not line:
             continue
@@ -218,6 +232,95 @@ def read_tsv(
         except ValueError as exc:
             raise CorpusError(f"{label}: line {lineno}: {exc}") from None
         yield lineno, row
+
+
+# Bytes read per chunk by `read_tsv_columns`: the split cells of one chunk are
+# a few MB of str objects, whatever the file's size.
+_CHUNK_BYTES = 1 << 18
+
+
+def read_tsv_columns(path: str | Path, cls: type, label: str) -> dict[str, object] | None:
+    """The data rows of a TSV file as one column per field of `cls`, or None.
+
+    A `str` column is (codes, values): an int64 code per row, and the
+    unescaped value of each code, numbered in order of first appearance. An
+    `int` column is int64; a `float` or `float | None` column is float64, NaN
+    for an empty cell.
+
+    The same rules as `read_tsv`, checked on whole columns. A bad header
+    raises as there. A file that breaks any other rule, has no data row, or
+    has a blank line or a CR anywhere gives None: the caller reads it with
+    `read_tsv` instead, which accepts it or names its first bad line.
+    """
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        first = fh.readline().removesuffix("\n")
+        if not first or "\r" in first:
+            return None
+        header = first.split("\t")
+        width = len(header)
+        plan = list(zip(fields(cls), _cell_indices(header, cls, label)))
+        codes: dict[str, dict[str, int]] = {}  # str column -> raw cell -> code
+        values: dict[str, dict[str, int]] = {}  # str column -> unescaped value -> code
+        parts: dict[str, list[np.ndarray]] = {f.name: [] for f in fields(cls)}
+        while lines := fh.readlines(_CHUNK_BYTES):
+            text = "".join(lines)
+            if "\r" in text:
+                return None
+            rows = text.removesuffix("\n").split("\n")
+            if "" in rows or set(map(str.count, rows, repeat("\t"))) != {width - 1}:
+                return None
+            cells = "\t".join(rows).split("\t")
+            for f, index in plan:
+                column = cells[index::width]
+                if f.type == "str":
+                    parts[f.name].append(
+                        _codes(column, codes.setdefault(f.name, {}), values.setdefault(f.name, {}))
+                    )
+                elif (numbers := _numbers(column, f.name, f.type)) is not None:
+                    parts[f.name].append(numbers)
+                else:
+                    return None
+    if not parts[plan[0][0].name]:
+        return None
+    out: dict[str, object] = {name: np.concatenate(chunks) for name, chunks in parts.items()}
+    for name, known in values.items():
+        out[name] = (out[name], list(known))
+    return out
+
+
+def _codes(cells: list[str], codes: dict[str, int], values: dict[str, int]) -> np.ndarray:
+    """The code of each cell, adding unseen cells to `codes` and their values to `values`.
+
+    Two raw cells may unescape to one value (a lone backslash stays), and then
+    share its code.
+    """
+    for raw in dict.fromkeys(cells):
+        if raw not in codes:
+            codes[raw] = values.setdefault(unescape_field(raw), len(values))
+    return np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
+
+
+def _numbers(cells: list[str], column: str, annotation: str) -> np.ndarray | None:
+    """One numeric column's cells as an array, or None if a cell breaks `_cell_parser`'s rule."""
+    number, dtype = (int, np.int64) if annotation == "int" else (float, np.float64)
+    present = None  # mask of the non-empty cells, where a cell may be empty
+    if annotation == "float | None" and "" in cells:
+        present = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+        cells = list(compress(cells, present))
+    try:
+        parsed = np.fromiter(map(number, cells), dtype=dtype, count=len(cells))
+    except (ValueError, OverflowError):
+        return None
+    minimum = MINIMUM.get(column)
+    if number is float and not np.isfinite(parsed).all():
+        return None
+    if minimum is not None and (parsed < minimum).any():
+        return None
+    if present is None:
+        return parsed
+    full = np.full(len(present), np.nan)
+    full[present] = parsed
+    return full
 
 
 def format_tsv(header: Sequence[str], rows: Iterable[Mapping]) -> str:

@@ -151,13 +151,12 @@ def _edit_breakdown(
     return ins, dels, subs
 
 
-def _block_index(ref: Sequence[str]) -> dict[tuple[str, ...], list[int]]:
-    """Every reference block of up to MAX_SHIFT_BLOCK tokens -> its start positions, ascending."""
-    index: dict[tuple[str, ...], list[int]] = {}
-    for rpos in range(len(ref)):
-        for end in range(rpos + 1, min(rpos + MAX_SHIFT_BLOCK, len(ref)) + 1):
-            index.setdefault(tuple(ref[rpos:end]), []).append(rpos)
-    return index
+def _token_positions(ref: Sequence[str]) -> dict[str, list[int]]:
+    """Each reference token -> the positions it occurs at, ascending."""
+    positions: dict[str, list[int]] = {}
+    for rpos, token in enumerate(ref):
+        positions.setdefault(token, []).append(rpos)
+    return positions
 
 
 def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerResult:
@@ -177,7 +176,7 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerResult:
     if not ref:
         raise ValueError("empty reference")
     peq = _match_masks(ref)
-    index = _block_index(ref)
+    starts = _token_positions(ref)
     current = list(hyp)
     shifts = 0
     dist = word_edit_distance(current, ref, peq=peq)
@@ -187,11 +186,16 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerResult:
         best_key: tuple[int, int, int, int] | None = None
         best_hyp: list[str] | None = None
         for b in range(n):
+            positions = starts.get(current[b], [])  # where the block occurs in ref
             for length in range(1, min(MAX_SHIFT_BLOCK, n - b) + 1):
-                block = current[b : b + length]
-                positions = index.get(tuple(block))
-                if positions is None:
+                if length > 1:  # keep the occurrences of the shorter block it extends
+                    token, last = current[b + length - 1], len(ref) - length
+                    positions = [
+                        r for r in positions if r <= last and ref[r + length - 1] == token
+                    ]
+                if not positions:
                     break  # no longer block from b is a reference span either
+                block = current[b : b + length]
                 if block == list(ref[b : b + length]):
                     continue  # aligned in place; moving it is not a repair
                 removed = current[:b] + current[b + length :]

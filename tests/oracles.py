@@ -7,10 +7,13 @@ breadth-first search over shift sequences, exhaustive alignment enumeration,
 plain rank-then-Pearson arithmetic, the leave-one-out mean as Python's `sum`
 adds it (`loo_mean`), and the loops and sort key that ranked and scored
 rankings before numpy did (`tie_loop_fractional_ranks`, `signed_key_ranking`,
-`satra_loop`, `delta_avg_loop`). None of it shares code
-with the package so a bug cannot hide on both sides of a comparison, except
-`score_corpus_per_session`: it checks how scoring fans out over sessions, not
-the metrics, so it calls the package's metric functions.
+`satra_loop`, `delta_avg_loop`), and a scores file read row by row into
+per-annotator columns (`row_score_views`). None of it shares code with the
+package so a bug cannot hide on both sides of a comparison, except
+`score_corpus_per_session`, which checks how scoring fans out over sessions,
+not the metrics, and so calls the package's metric functions, and
+`row_score_views`, which checks the columnar reader against the row reader
+`read_tsv`, and so calls it.
 """
 
 from __future__ import annotations
@@ -391,3 +394,58 @@ def score_corpus_per_session(corpus) -> list:
             )
         out.extend(rows)
     return out
+
+
+def row_score_views(path) -> dict:
+    """A scores file read row by row, as the commands read it before the
+    columnar reader: `read_tsv`'s rows, the duplicate and mt_tokens checks
+    naming the line, then every row's float cells grouped per annotator.
+
+    Returns `segment_ids` and `annotators` (sorted, ALL left out), `gaps`
+    (annotator -> segment ids its rows lack, sorted) and `columns`
+    (annotator -> field -> array in segment id order, gaps left out; every
+    view's `mt_tokens` is the one column over all segments). Raises what the
+    commands raised for a bad file.
+    """
+    from dataclasses import fields
+
+    from pe_rank.corpus import ALL_ANNOTATORS, CorpusError, read_tsv
+    from pe_rank.taskmetrics import SegmentScores
+
+    names = [f.name for f in fields(SegmentScores) if f.type.startswith("float")]
+    seen: dict[str, set[str]] = {}
+    tokens: dict[str, int] = {}
+    read: dict[str, list[tuple[str, list[float]]]] = {}
+    for lineno, row in read_tsv(path, SegmentScores, "scores"):
+        sid, annotator = row.segment_id, row.annotator_id
+        if sid in seen.setdefault(annotator, set()):
+            raise CorpusError(
+                f"scores: line {lineno}: duplicate row for segment "
+                f"'{sid}', annotator '{annotator}'"
+            )
+        seen[annotator].add(sid)
+        if tokens.setdefault(sid, row.mt_tokens) != row.mt_tokens:
+            raise CorpusError(
+                f"scores: line {lineno}: mt_tokens {row.mt_tokens} for segment '{sid}'"
+                f" differs from {tokens[sid]} on an earlier row"
+            )
+        values = [getattr(row, name) for name in names]
+        read.setdefault(annotator, []).append(
+            (sid, [math.nan if v is None else v for v in values])
+        )
+    segment_ids = sorted(tokens)
+    mt_tokens = np.array([tokens[sid] for sid in segment_ids])
+    columns = {}
+    for annotator, view in read.items():
+        view.sort(key=lambda item: item[0])
+        columns[annotator] = {
+            name: np.array([cells[i] for _, cells in view], dtype=float)
+            for i, name in enumerate(names)
+        }
+        columns[annotator]["mt_tokens"] = mt_tokens
+    return {
+        "segment_ids": segment_ids,
+        "annotators": sorted(read.keys() - {ALL_ANNOTATORS}),
+        "gaps": {a: sorted(tokens.keys() - seen[a]) for a in read},
+        "columns": columns,
+    }

@@ -452,7 +452,7 @@ def test_failed_report_writes_nothing(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
-def test_report_stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, capsys):
+def _stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, capsys, argv):
     import pe_rank.cli as cli
 
     def no_scoring(corpus):
@@ -464,8 +464,7 @@ def test_report_stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, 
         [f"s{i}\tsys\tsrc\tmt here\tref here\t0.1" for i in range(1, 6)],
         ["s1\tA\tmt here\t10\t5", "s2\tB\tmt here\t10\t5"],
     )
-    out_dir = tmp_path / "report"
-    code = main(["report", "--segments", str(segments), "--sessions", str(sessions), "--out-dir", str(out_dir)])
+    code = main([argv[0], "--segments", str(segments), "--sessions", str(sessions), *argv[1:]])
     assert code == 1
     err = capsys.readouterr().err
     assert err == (
@@ -473,7 +472,20 @@ def test_report_stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, 
         "annotator 'A' has no session for segment 's2'; "
         "annotator 'A' has no session for segment 's3' (and 5 more)\n"
     )
+
+
+def test_report_stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "report"
+    argv = ["report", "--out-dir", str(out_dir)]
+    _stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, capsys, argv)
     assert not out_dir.exists()
+
+
+def test_score_stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "scores.tsv"
+    argv = ["score", "--out", str(out)]
+    _stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, capsys, argv)
+    assert not out.exists()
 
 
 _REPORT = ["report", "--segments", "SEG", "--sessions", "SESS", "--out-dir", "OUT"]
