@@ -159,9 +159,9 @@ class ScoreViews:
         for code, (annotator, end) in enumerate(zip(annotators, np.cumsum(counts))):
             rows = slice(end - counts[code], end)
             self._rows[annotator] = order[rows]
-            covered = keys[rows] - code * n
-            missing = np.setdiff1d(np.arange(n), covered)
-            self.gaps[annotator] = [self.segment_ids[i] for i in missing]
+            covered = np.zeros(n, dtype=bool)
+            covered[keys[rows] - code * n] = True
+            self.gaps[annotator] = [self.segment_ids[i] for i in np.flatnonzero(~covered)]
         self._columns: dict[tuple[str, str], np.ndarray] = {}
 
     def column(self, annotator: str, field: str, optional: bool = False) -> np.ndarray:

@@ -5,7 +5,8 @@ reference, optional DA score) with post-editing sessions (the PE'ed text, the
 seconds it took, and the keystrokes pressed). Both sides arrive as UTF-8
 tab-separated files; text fields are escaped so they never contain raw tabs
 or newlines on disk. `read_tsv` and `format_tsv` are the package's only TSV
-reader and writer; the scores file goes through them too.
+reader and writer; the scores file goes through them too, and through
+`read_tsv_columns`, which reads a file as `read_tsv` does but column by column.
 """
 
 from __future__ import annotations

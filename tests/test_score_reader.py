@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from pe_rank.analysis import FLOAT_FIELDS, ScoreViews
 from pe_rank.cli import SCORES_HEADER
 from pe_rank.corpus import (
-    ALL_ANNOTATORS, MINIMUM, CorpusError, escape_field, read_tsv, read_tsv_columns,
+    ALL_ANNOTATORS, MINIMUM, CorpusError, escape_field, read_tsv_columns,
 )
 from pe_rank.taskmetrics import SegmentScores
 
@@ -226,10 +226,11 @@ def test_first_fault_in_file_order_is_named(scratch):
         ScoreViews.read(scratch)
 
 
-def test_read_equals_the_views_of_the_rows():
-    views = ScoreViews.read(SEEDED)
-    rows = ScoreViews(row for _, row in read_tsv(SEEDED, SegmentScores, "scores"))
-    for annotator in views.annotators + [ALL_ANNOTATORS]:
-        for field in FLOAT_FIELDS + ("mt_tokens",):
-            got = views.column(annotator, field, optional=True)
-            assert got.tobytes() == rows.column(annotator, field, optional=True).tobytes()
+
+@pytest.mark.parametrize("at", [30, 2000])  # in the header, in a data row
+def test_undecodable_byte_raises_as_the_oracle(scratch, at):
+    data = SEEDED.read_bytes()
+    scratch.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(UnicodeDecodeError):
+        ScoreViews.read(scratch)
+    _same_outcome(scratch)
