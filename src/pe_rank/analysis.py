@@ -96,7 +96,7 @@ class ScoreViews:
         block = np.array(cells).reshape(len(tokens), len(FLOAT_FIELDS))
         pairs = np.array(codes).reshape(len(tokens), 2)
         self._group(pairs[:, 0], list(segments), pairs[:, 1], list(annotators),
-                    np.array(tokens, dtype=np.int64), dict(zip(FLOAT_FIELDS, block.T)))
+                    np.array(tokens), dict(zip(FLOAT_FIELDS, block.T)))
         if np.count_nonzero(np.isnan(block)) != missing:
             raise ValueError("NaN score in the rows (a missing value is None)")
 
