@@ -4,6 +4,7 @@ bad one."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from pe_rank.taskmetrics import SegmentScores
 from oracles import row_score_views
 
 SEEDED = Path(__file__).parent / "golden" / "seeded" / "expected" / "scores.tsv"
-NULLABLE = ("pe_time_sec", "petpw", "keys_per_char", "hter", "hbleu", "hmeteor", "da")
+NULLABLE = {f.name for f in fields(SegmentScores) if f.type == "float | None"}
 
 
 @pytest.fixture(scope="module")
