@@ -102,22 +102,19 @@ class ScoreViews:
 
     @classmethod
     def read(cls, path: str | Path) -> ScoreViews:
-        """The views of a scores file, checked as by `iter_scores`.
+        """The views of a scores file, parsed and checked column by column.
 
-        The file is parsed column by column (`read_tsv_columns`); a file that
-        that parse does not take, or whose rows fail a check, is read row by
-        row through `iter_scores`, which names the first bad line.
+        A file that fails a check is read again through `iter_scores`, whose walk
+        in row order names the first bad line (a duplicate row before a bad cell).
         """
-        columns = read_tsv_columns(path, SegmentScores, "scores")
-        if columns is not None:
+        try:
+            columns = read_tsv_columns(path, SegmentScores, "scores")
             views = cls.__new__(cls)
-            try:
-                views._group(*columns["segment_id"], *columns["annotator_id"],
-                             columns["mt_tokens"], {f: columns[f] for f in FLOAT_FIELDS})
-            except ValueError:
-                pass
-            else:
-                return views
+            views._group(*columns["segment_id"], *columns["annotator_id"],
+                         columns["mt_tokens"], {f: columns[f] for f in FLOAT_FIELDS})
+            return views
+        except ValueError:
+            pass
         return cls(iter_scores(path))
 
     def _group(

@@ -4,20 +4,21 @@ A corpus couples translation segments (source, MT output, independent
 reference, optional DA score) with post-editing sessions (the PE'ed text, the
 seconds it took, and the keystrokes pressed). Both sides arrive as UTF-8
 tab-separated files; text fields are escaped so they never contain raw tabs
-or newlines on disk. `read_tsv` and `format_tsv` are the package's only TSV
-reader and writer; the scores file goes through them too, and through
-`read_tsv_columns`, which reads a file as `read_tsv` does but column by column.
+or newlines on disk. `format_tsv` writes every TSV file, and `_parse` parses
+it in chunks of lines, column by column: `read_tsv` reads it as rows,
+`read_tsv_columns` as the columns of the whole file.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import unicodedata
 from dataclasses import dataclass, fields
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -133,37 +134,32 @@ def unescape_field(value: str) -> str:
 
 # Smallest value of a numeric column, in any file that has it: a segment has at
 # least one MT word, and no time, keystroke count, PETpW or keystroke rate is
-# negative.
+# negative. An `int` column is read into int64, which bounds it above.
 MINIMUM = {"mt_tokens": 1, "keystrokes": 0, "pe_time_sec": 0.0, "petpw": 0.0, "keys_per_char": 0.0}
+INT_MAXIMUM = np.iinfo(np.int64).max
 
 
-def _cell_parser(column: str, annotation: str) -> Callable[[str], object]:
-    """Parser of one column's cells, chosen by its dataclass field annotation.
+def _cell_error(column: str, annotation: str, raw: str) -> str | None:
+    """What is wrong with one cell, by its column's dataclass field annotation, or None.
 
-    `str` cells are unescaped; `int`, `float` and `float | None` cells must be
-    finite numbers no smaller than the column's MINIMUM, and an empty
-    `float | None` cell is None. Raises ValueError naming the column.
+    `int`, `float` and `float | None` cells must be numbers no smaller than the
+    column's MINIMUM, a float finite and an int at most INT_MAXIMUM; only a
+    `float | None` cell may be empty. `str` cells are free.
     """
-    if annotation == "str":
-        return unescape_field
-    number = {"int": int, "float": float, "float | None": float}[annotation]
-    nullable = annotation == "float | None"
-    minimum = MINIMUM.get(column)
-
-    def parse(raw: str):
-        if nullable and raw == "":
-            return None
-        try:
-            value = number(raw)
-        except ValueError:
-            raise ValueError(f"non-numeric {column} {raw!r}") from None
-        if number is float and not math.isfinite(value):
-            raise ValueError(f"non-finite {column} {raw!r}")
-        if minimum is not None and value < minimum:
-            raise ValueError(f"{column} {raw!r} below minimum {minimum}")
-        return value
-
-    return parse
+    if annotation == "str" or (annotation == "float | None" and raw == ""):
+        return None
+    number = int if annotation == "int" else float
+    try:
+        value = number(raw)
+    except ValueError:
+        return f"non-numeric {column} {raw!r}"
+    if number is float and not math.isfinite(value):
+        return f"non-finite {column} {raw!r}"
+    if value < MINIMUM.get(column, -math.inf):
+        return f"{column} {raw!r} below minimum {MINIMUM[column]}"
+    if number is int and value > INT_MAXIMUM:
+        return f"{column} {raw!r} above maximum {INT_MAXIMUM}"
+    return None
 
 
 def _cell_indices(
@@ -188,14 +184,92 @@ def _cell_indices(
     return [header.index(f.name) if f.name in seen else None for f in fields(cls)]
 
 
-def _lines(source: str | Path | Iterable[str]) -> Iterator[str]:
-    """Lines without their LF and one trailing CR, read one at a time."""
+# Bytes read per chunk: the split cells of one chunk are a few MB of str
+# objects, whatever the file's size.
+_CHUNK_BYTES = 1 << 18
+
+
+def _parse(
+    source: str | Path | Iterable[str], cls: type, label: str, optional: Sequence[str] = ()
+) -> Iterator[tuple[Sequence[int], list]]:
+    """The data rows of a TSV file as `_columns` yields them, a chunk of lines
+    at a time, under `read_tsv`'s rules; CorpusError is raised with the file closed."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="\n") as fh:
-            yield from _lines(fh)
-    else:
-        for raw in source:
-            yield raw.removesuffix("\n").removesuffix("\r")
+        file = open(source, encoding="utf-8", newline="\n")
+    else:  # an iterable of lines, each with its LF or not, is read whole
+        file = io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in source))
+    header = None
+    end = 0  # number of the last line read
+    with file:
+        while lines := file.readlines(_CHUNK_BYTES):
+            text = "".join(lines)
+            if "\r" in text:  # one CR before a line's LF, or before the file's end, is dropped
+                text = text.replace("\r\n", "\n").removesuffix("\r")
+            rows = text.removesuffix("\n").split("\n")
+            numbers: Sequence[int] = range(end + 1, end + 1 + len(rows))
+            end += len(rows)
+            if "" in rows:  # blank lines are skipped, but counted
+                numbers = [n for n, row in zip(numbers, rows) if row]
+                rows = list(filter(None, rows))
+            if header is None and rows:
+                header = rows.pop(0).split("\t")
+                numbers = numbers[1:]
+                plan = list(zip(fields(cls), _cell_indices(header, cls, label, optional)))
+            if rows:
+                yield from _columns(rows, numbers, plan, len(header), label)
+    if header is None:
+        raise CorpusError(f"{label}: empty input (header row required)")
+
+
+def _columns(
+    rows: list[str], numbers: Sequence[int], plan: list, width: int, label: str
+) -> Iterator[tuple[Sequence[int], list]]:
+    """Yield (line numbers, one column per (field, cell index) of `plan`) of data rows:
+    the raw (escaped) cells of a `str` field, int64 for an `int` one, float64 for
+    a `float` or `float | None` one, NaN for an empty cell. Each column is parsed
+    and checked whole. If a check fails, a scan in row, then field, order finds
+    the first bad row by `_cell_error`: the rows before it are yielded, then
+    CorpusError names it."""
+    columns: list = []
+    if set(map(str.count, rows, repeat("\t"))) == {width - 1}:
+        cells = "\t".join(rows).split("\t")
+        for f, index in plan:
+            column = [""] * len(rows) if index is None else cells[index::width]
+            if f.type != "str" and (column := _numbers(column, f.name, f.type)) is None:
+                break
+            columns.append(column)
+    if len(columns) == len(plan):
+        yield numbers, columns
+        return
+    for at, row in enumerate(rows):
+        cells = row.split("\t")
+        if len(cells) != width:
+            problem = f"expected {width} fields, got {len(cells)}"
+        else:
+            problems = (_cell_error(f.name, f.type, cells[i]) for f, i in plan if i is not None)
+            problem = next(filter(None, problems), None)
+        if problem:
+            if at:
+                yield from _columns(rows[:at], numbers[:at], plan, width, label)
+            raise CorpusError(f"{label}: line {numbers[at]}: {problem}")
+    raise AssertionError("a column check failed, but no cell breaks `_cell_error`'s rule")
+
+
+def _numbers(cells: list[str], column: str, annotation: str) -> np.ndarray | None:
+    """A numeric column as an array, NaN for an empty cell; None if a cell breaks `_cell_error`."""
+    number, dtype = (int, np.int64) if annotation == "int" else (float, np.float64)
+    missing = cells.count("") if annotation == "float | None" else 0
+    if missing:  # read as NaN, which no other cell may be
+        cells = [cell or "nan" for cell in cells]
+    try:  # an int beyond int64 overflows
+        parsed = np.fromiter(map(number, cells), dtype=dtype, count=len(cells))
+    except (ValueError, OverflowError):
+        return None
+    if number is float and (np.isinf(parsed).any() or np.isnan(parsed).sum() != missing):
+        return None
+    if (parsed < MINIMUM.get(column, -np.inf)).any():
+        return None
+    return parsed
 
 
 def read_tsv(
@@ -206,122 +280,50 @@ def read_tsv(
 ) -> Iterator[tuple[int, T]]:
     """Yield (line number, cls instance) for each data row of a TSV file.
 
-    The first non-blank line is the header: one column per field of the
-    dataclass `cls`, in any order; a column named in `optional` may be absent
-    and then reads as empty cells. Blank lines are skipped but counted, so the
-    line number of every error is the line in the file. Raises CorpusError
-    naming `label`, and the line for a bad row.
+    The source is a path or an iterable of lines; a line ends at LF, and one CR
+    before it is dropped. The first non-blank line is the header: one column
+    per field of the dataclass `cls`, in any order; a column named in
+    `optional` may be absent and then reads as empty cells. Blank lines are
+    skipped but counted, so the line number of every error is the line in the
+    file. A bad row (see `_cell_error`) raises CorpusError naming `label` and
+    its line.
     """
-    lines = enumerate(_lines(source), start=1)
-    header = next((line.split("\t") for _, line in lines if line), None)
-    if header is None:
-        raise CorpusError(f"{label}: empty input (header row required)")
-    plan = [  # (cell index, or None for an absent column; parser), in field order
-        (index, _cell_parser(f.name, f.type))
-        for f, index in zip(fields(cls), _cell_indices(header, cls, label, optional))
-    ]
-    for lineno, line in lines:
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise CorpusError(
-                f"{label}: line {lineno}: expected {len(header)} fields, got {len(cells)}"
-            )
-        try:
-            row = cls(*[parse("" if i is None else cells[i]) for i, parse in plan])
-        except ValueError as exc:
-            raise CorpusError(f"{label}: line {lineno}: {exc}") from None
-        yield lineno, row
+    for numbers, columns in _parse(source, cls, label, optional):
+        values = []
+        for f, column in zip(fields(cls), columns):
+            if f.type == "str":
+                values.append(map(unescape_field, column))
+            elif f.type == "float | None":
+                values.append([None if math.isnan(v) else v for v in column.tolist()])
+            else:
+                values.append(column.tolist())
+        yield from zip(numbers, map(cls, *values))
 
 
-# Bytes read per chunk by `read_tsv_columns`: the split cells of one chunk are
-# a few MB of str objects, whatever the file's size.
-_CHUNK_BYTES = 1 << 18
+def read_tsv_columns(path: str | Path, cls: type, label: str) -> dict[str, object]:
+    """The data rows of a TSV file, read as by `read_tsv`, as one column per field of `cls`.
 
-
-def read_tsv_columns(path: str | Path, cls: type, label: str) -> dict[str, object] | None:
-    """The data rows of a TSV file as one column per field of `cls`, or None.
-
-    A `str` column is (codes, values): an int64 code per row, and the
-    unescaped value of each code, numbered in order of first appearance. An
-    `int` column is int64; a `float` or `float | None` column is float64, NaN
-    for an empty cell.
-
-    The same rules as `read_tsv`, checked on whole columns. A bad header
-    raises as there. A file that breaks any other rule, has no data row, or
-    has a blank line or a CR anywhere gives None: the caller reads it with
-    `read_tsv` instead, which accepts it or names its first bad line.
+    A `str` column is (codes, values): an int64 code per row, and the unescaped
+    value of each code, numbered in order of first appearance. An `int` column
+    is int64; a `float` or `float | None` column is float64, NaN for an empty cell.
     """
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        first = fh.readline().removesuffix("\n")
-        if not first or "\r" in first:
-            return None
-        header = first.split("\t")
-        width = len(header)
-        plan = list(zip(fields(cls), _cell_indices(header, cls, label)))
-        codes: dict[str, dict[str, int]] = {}  # str column -> raw cell -> code
-        values: dict[str, dict[str, int]] = {}  # str column -> unescaped value -> code
-        parts: dict[str, list[np.ndarray]] = {f.name: [] for f in fields(cls)}
-        while lines := fh.readlines(_CHUNK_BYTES):
-            text = "".join(lines)
-            if "\r" in text:
-                return None
-            rows = text.removesuffix("\n").split("\n")
-            if "" in rows or set(map(str.count, rows, repeat("\t"))) != {width - 1}:
-                return None
-            cells = "\t".join(rows).split("\t")
-            for f, index in plan:
-                column = cells[index::width]
-                if f.type == "str":
-                    parts[f.name].append(
-                        _codes(column, codes.setdefault(f.name, {}), values.setdefault(f.name, {}))
-                    )
-                elif (numbers := _numbers(column, f.name, f.type)) is not None:
-                    parts[f.name].append(numbers)
-                else:
-                    return None
-    if not parts[plan[0][0].name]:
-        return None
+    values = {f.name: {} for f in fields(cls) if f.type == "str"}  # unescaped value -> code
+    parts = {  # each column's chunks, after an empty one of its dtype
+        f.name: [np.empty(0, np.float64 if f.type.startswith("float") else np.int64)]
+        for f in fields(cls)
+    }
+    for _, columns in _parse(path, cls, label):
+        for f, column in zip(fields(cls), columns):
+            if f.type == "str":  # two raw cells may unescape alike (a lone backslash stays)
+                known = values[f.name]
+                codes = {raw: known.setdefault(unescape_field(raw), len(known))
+                         for raw in dict.fromkeys(column)}
+                column = np.fromiter(map(codes.__getitem__, column), np.int64, len(column))
+            parts[f.name].append(column)
     out: dict[str, object] = {name: np.concatenate(chunks) for name, chunks in parts.items()}
     for name, known in values.items():
         out[name] = (out[name], list(known))
     return out
-
-
-def _codes(cells: list[str], codes: dict[str, int], values: dict[str, int]) -> np.ndarray:
-    """The code of each cell, adding unseen cells to `codes` and their values to `values`.
-
-    Two raw cells may unescape to one value (a lone backslash stays), and then
-    share its code.
-    """
-    for raw in dict.fromkeys(cells):
-        if raw not in codes:
-            codes[raw] = values.setdefault(unescape_field(raw), len(values))
-    return np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
-
-
-def _numbers(cells: list[str], column: str, annotation: str) -> np.ndarray | None:
-    """One numeric column's cells as an array, or None if a cell breaks `_cell_parser`'s rule."""
-    number, dtype = (int, np.int64) if annotation == "int" else (float, np.float64)
-    present = None  # mask of the non-empty cells, where a cell may be empty
-    if annotation == "float | None" and "" in cells:
-        present = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
-        cells = list(compress(cells, present))
-    try:
-        parsed = np.fromiter(map(number, cells), dtype=dtype, count=len(cells))
-    except (ValueError, OverflowError):
-        return None
-    minimum = MINIMUM.get(column)
-    if number is float and not np.isfinite(parsed).all():
-        return None
-    if minimum is not None and (parsed < minimum).any():
-        return None
-    if present is None:
-        return parsed
-    full = np.full(len(present), np.nan)
-    full[present] = parsed
-    return full
 
 
 def format_tsv(header: Sequence[str], rows: Iterable[Mapping]) -> str:

@@ -7,20 +7,23 @@ breadth-first search over shift sequences, exhaustive alignment enumeration,
 plain rank-then-Pearson arithmetic, the leave-one-out mean as Python's `sum`
 adds it (`loo_mean`), and the loops and sort key that ranked and scored
 rankings before numpy did (`tie_loop_fractional_ranks`, `signed_key_ranking`,
-`satra_loop`, `delta_avg_loop`), and a scores file read row by row into
-per-annotator columns (`row_score_views`). None of it shares code with the
-package so a bug cannot hide on both sides of a comparison, except
+`satra_loop`, `delta_avg_loop`), a TSV file parsed line by line and cell by
+cell (`row_read_tsv`), and a scores file read through it into per-annotator
+columns (`row_score_views`). None of it shares code with the package so a
+bug cannot hide on both sides of a comparison, except
 `score_corpus_per_session`, which checks how scoring fans out over sessions,
-not the metrics, and so calls the package's metric functions, and
-`row_score_views`, which checks the columnar reader against the row reader
-`read_tsv`, and so calls it.
-"""
+not the metrics, and so calls the package's metric functions. `row_read_tsv`
+takes only `CorpusError`, the type it must raise, and the `MINIMUM` table of
+column rules from the package."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+import re
+from dataclasses import fields
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -396,9 +399,100 @@ def score_corpus_per_session(corpus) -> list:
     return out
 
 
+def _row_lines(source) -> Iterator[str]:
+    """Lines without their LF and one trailing CR, read one at a time."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8", newline="\n") as fh:
+            yield from _row_lines(fh)
+    else:
+        for raw in source:
+            yield raw.removesuffix("\n").removesuffix("\r")
+
+
+_ROW_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+def _row_cell_parser(column: str, annotation: str):
+    """Parser of one column's cells, chosen by its dataclass field annotation.
+
+    `str` cells are unescaped; `int`, `float` and `float | None` cells must be
+    finite numbers no smaller than the column's MINIMUM, an int no larger
+    than int64's maximum, and an empty `float | None` cell is None. Raises
+    ValueError naming the column.
+    """
+    from pe_rank.corpus import MINIMUM
+
+    if annotation == "str":
+        return lambda raw: re.sub(r"\\([\\tnr])", lambda m: _ROW_UNESCAPES[m[1]], raw)
+    number = {"int": int, "float": float, "float | None": float}[annotation]
+    nullable = annotation == "float | None"
+    minimum = MINIMUM.get(column)
+
+    def parse(raw: str):
+        if nullable and raw == "":
+            return None
+        try:
+            value = number(raw)
+        except ValueError:
+            raise ValueError(f"non-numeric {column} {raw!r}") from None
+        if number is float and not math.isfinite(value):
+            raise ValueError(f"non-finite {column} {raw!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{column} {raw!r} below minimum {minimum}")
+        if number is int and value > 2**63 - 1:
+            raise ValueError(f"{column} {raw!r} above maximum {2**63 - 1}")
+        return value
+
+    return parse
+
+
+def row_read_tsv(
+    source: str | Path | Iterable[str], cls: type, label: str, optional: Sequence[str] = ()
+) -> Iterator[tuple[int, object]]:
+    """`pe_rank.corpus.read_tsv` as it was before its column parse: one line,
+    then one cell, at a time.
+
+    Yields (line number, cls instance) per data row; raises CorpusError
+    naming `label`, and the line for a bad row.
+    """
+    from pe_rank.corpus import CorpusError
+
+    lines = enumerate(_row_lines(source), start=1)
+    header = next((line.split("\t") for _, line in lines if line), None)
+    if header is None:
+        raise CorpusError(f"{label}: empty input (header row required)")
+    names = [f.name for f in fields(cls)]
+    for col in header:
+        if header.count(col) > 1:
+            raise CorpusError(f"{label}: duplicate column '{col}'")
+    for name in names:
+        if name not in header and name not in optional:
+            raise CorpusError(f"{label}: missing required column '{name}'")
+    for col in header:
+        if col not in names:
+            raise CorpusError(f"{label}: unexpected column '{col}'")
+    plan = [
+        (header.index(f.name) if f.name in header else None, _row_cell_parser(f.name, f.type))
+        for f in fields(cls)
+    ]
+    for lineno, line in lines:
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise CorpusError(
+                f"{label}: line {lineno}: expected {len(header)} fields, got {len(cells)}"
+            )
+        try:
+            row = cls(*[parse("" if i is None else cells[i]) for i, parse in plan])
+        except ValueError as exc:
+            raise CorpusError(f"{label}: line {lineno}: {exc}") from None
+        yield lineno, row
+
+
 def row_score_views(path) -> dict:
     """A scores file read row by row, as the commands read it before the
-    columnar reader: `read_tsv`'s rows, the duplicate and mt_tokens checks
+    columnar reader: `row_read_tsv`'s rows, the duplicate and mt_tokens checks
     naming the line, then every row's float cells grouped per annotator.
 
     Returns `segment_ids` and `annotators` (sorted, ALL left out), `gaps`
@@ -407,16 +501,14 @@ def row_score_views(path) -> dict:
     view's `mt_tokens` is the one column over all segments). Raises what the
     commands raised for a bad file.
     """
-    from dataclasses import fields
-
-    from pe_rank.corpus import ALL_ANNOTATORS, CorpusError, read_tsv
+    from pe_rank.corpus import ALL_ANNOTATORS, CorpusError
     from pe_rank.taskmetrics import SegmentScores
 
     names = [f.name for f in fields(SegmentScores) if f.type.startswith("float")]
     seen: dict[str, set[str]] = {}
     tokens: dict[str, int] = {}
     read: dict[str, list[tuple[str, list[float]]]] = {}
-    for lineno, row in read_tsv(path, SegmentScores, "scores"):
+    for lineno, row in row_read_tsv(path, SegmentScores, "scores"):
         sid, annotator = row.segment_id, row.annotator_id
         if sid in seen.setdefault(annotator, set()):
             raise CorpusError(

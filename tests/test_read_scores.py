@@ -71,6 +71,32 @@ def test_out_of_range_cell_fails_naming_line_and_column(tmp_path, fixture_paths,
         assert "line 2" in err and column in err
 
 
+BEYOND_INT64 = "99999999999999999999"
+
+
+def test_int_beyond_int64_fails_naming_line_and_maximum(tmp_path, fixture_paths, capsys):
+    path, lines = _scores(tmp_path, fixture_paths)
+    for lineno in range(2, len(lines) + 1):  # every row of s1, so its rows agree
+        if lines[lineno - 1].startswith("s1\t"):
+            lines = _set_cell(lines, lineno, "mt_tokens", BEYOND_INT64)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"scores: line 2: mt_tokens '{BEYOND_INT64}' above maximum 9223372036854775807"
+    with pytest.raises(CliError, match=f"^{message}$"):
+        read_scores(path)
+    for argv in COMMANDS:
+        assert _run(tmp_path, path, argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    sessions = tmp_path / "sessions.tsv"
+    lines = fixture_paths[1].read_text(encoding="utf-8").splitlines()
+    sessions.write_text("\n".join(_set_cell(lines, 3, "keystrokes", BEYOND_INT64)) + "\n", encoding="utf-8")
+    argv = ["score", "--segments", str(fixture_paths[0]), "--sessions", str(sessions)]
+    assert main(argv + ["--out", str(tmp_path / "out.tsv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sessions: line 3: keystrokes '{BEYOND_INT64}' above maximum 9223372036854775807\n"
+    )
+
+
 def test_duplicate_row_fails_naming_line(tmp_path, fixture_paths, capsys):
     path, lines = _scores(tmp_path, fixture_paths)
     lines.append(lines[4])  # s2 ANN0 again, as line 11

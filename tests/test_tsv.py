@@ -4,16 +4,21 @@ column order, and rejections that name their line."""
 from __future__ import annotations
 
 import io
+import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pe_rank import corpus
+from pe_rank.analysis import ScoreViews
 from pe_rank.cli import main, read_scores, write_scores
-from pe_rank.corpus import CorpusError, load_corpus
+from pe_rank.corpus import CorpusError, PESession, Segment, load_corpus, read_tsv
 from pe_rank.taskmetrics import SegmentScores
+
+from oracles import row_read_tsv
 
 SEG_HEADER = "id\tsystem_id\tsource\tmt\treference\tda"
 SESS_HEADER = "segment_id\tannotator_id\tpe_text\tpe_time_sec\tkeystrokes"
@@ -135,3 +140,101 @@ def test_row_rejections_name_the_line(seg_rows, sess_rows, message):
             io.StringIO("\n".join([SEG_HEADER] + seg_rows) + "\n"),
             io.StringIO("\n".join([SESS_HEADER] + sess_rows) + "\n"),
         )
+
+
+# Cell spellings: per field annotation ones that some column takes, and ones
+# that break a rule in every column of a kind, or in some. Text cells are
+# escaped on disk, so they hold no raw tab or LF, but may hold a lone CR.
+_cell_text = st.text(alphabet="ab é\\tnr\r", max_size=4)
+_CELLS = {
+    "int": ["0", "1", " 2", "+3", "1_0", "9223372036854775807"],
+    "float": ["0.0", "-0.0", "0.5", "1e-1", " 2", "5e-324", "3", "-1"],
+}
+_CELLS["float | None"] = _CELLS["float"] + [""]
+_BAD_CELLS = ["", "x", "nan", "-inf", "1e999", "-2", "1.5", "9223372036854775808", "-9223372036854775809"]
+
+
+@st.composite
+def _corpus_file(draw) -> tuple[type, tuple[str, ...], str]:
+    """(Segment or PESession, its optional columns, the text of a file of them).
+
+    About one cell in 30 and one row in 30 break a rule, so the first fault
+    may come on any line.
+    """
+    cls = draw(st.sampled_from([Segment, PESession]))
+    optional = ("da",) if cls is Segment else ()
+    columns = draw(st.permutations(
+        [f for f in fields(cls) if f.name not in optional or draw(st.booleans())]
+    ))
+    lines = ["\t".join(f.name for f in columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [
+            draw(st.sampled_from(_BAD_CELLS)) if draw(st.integers(0, 29)) == 0
+            else draw(_cell_text) if f.type == "str"
+            else draw(st.sampled_from(_CELLS[f.type]))
+            for f in columns
+        ]
+        width = draw(st.integers(0, 29))
+        cells = cells[:-1] if width == 0 else cells + ["1"] if width == 1 else cells
+        lines.append("\t".join(cells))
+    crlf = draw(st.sampled_from(["none", "all", "some"]))
+    lines = [line + "\r" if crlf == "all" or crlf == "some" and draw(st.booleans()) else line
+             for line in lines]
+    for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
+        lines.insert(at, draw(st.sampled_from(["", "\r"])))
+    return cls, optional, "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _rows_then_error(rows) -> list:
+    """The repr of each row read, then the type and message of what ended the read, if any."""
+    out = []
+    try:
+        for row in rows:
+            out.append(repr(row))  # repr tells -0.0 from 0.0, which == does not
+    except CorpusError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@given(
+    _corpus_file(),
+    st.sampled_from(["path", "StringIO", "lines", "lines without LF"]),
+    st.sampled_from([1, 60, 1 << 18]),  # bytes per chunk: one line, a few, the whole file
+)
+def test_read_tsv_gives_the_row_by_row_oracles_rows_then_error(drawn, source, chunk_bytes):
+    cls, optional, text = drawn
+    sources = {
+        "StringIO": lambda path: io.StringIO(text),
+        "lines": lambda path: io.StringIO(text).readlines(),  # split at LF only
+        "lines without LF": lambda path: text.removesuffix("\n").split("\n"),
+        "path": lambda path: path,
+    }
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_CHUNK_BYTES", chunk_bytes)
+        path = Path(tmp) / "file.tsv"
+        path.write_text(text, encoding="utf-8")
+        expected = _rows_then_error(row_read_tsv(path, cls, "file", optional))
+        assert _rows_then_error(read_tsv(sources[source](path), cls, "file", optional)) == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "read",
+    [lambda path: list(read_tsv(path, SegmentScores, "scores")), ScoreViews.read],
+    ids=["read_tsv", "ScoreViews.read"],
+)
+@pytest.mark.parametrize("lineno", [2, 3000])  # in the first chunk, in a later one
+def test_no_file_stays_open_after_a_reader_raises(tmp_path, fixture_paths, read, lineno):
+    path = _scores_file(tmp_path, fixture_paths)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    ids_and_rest = [row.split("\t", 1) for row in rows]
+    rows = [  # copies of the rows, each with segment ids of its own, up to the bad line
+        f"{sid}_{copy}\t{rest}" for copy in range(lineno // len(rows) + 1) for sid, rest in ids_and_rest
+    ][: lineno - 2]
+    bad = header.count("\t") * "1\t" + "x"  # the last column is da, a float
+    path.write_text("\n".join([header, *rows, bad]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^scores: line {lineno}: non-numeric da 'x'$") as raised:
+        read(path)
+    assert raised.value.__traceback__ is not None  # which keeps every frame of the read alive
+    fds = Path("/proc/self/fd")
+    assert str(path) not in {os.readlink(fd) for fd in fds.iterdir() if fd.is_symlink()}
