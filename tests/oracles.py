@@ -14,7 +14,8 @@ bug cannot hide on both sides of a comparison, except
 `score_corpus_per_session`, which checks how scoring fans out over sessions,
 not the metrics, and so calls the package's metric functions. `row_read_tsv`
 takes only `CorpusError`, the type it must raise, and the `MINIMUM` table of
-column rules from the package."""
+column rules from the package.
+"""
 
 from __future__ import annotations
 

@@ -89,7 +89,8 @@ def test_int_beyond_int64_fails_naming_line_and_maximum(tmp_path, fixture_paths,
 
     sessions = tmp_path / "sessions.tsv"
     lines = fixture_paths[1].read_text(encoding="utf-8").splitlines()
-    sessions.write_text("\n".join(_set_cell(lines, 3, "keystrokes", BEYOND_INT64)) + "\n", encoding="utf-8")
+    lines = _set_cell(lines, 3, "keystrokes", BEYOND_INT64)
+    sessions.write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = ["score", "--segments", str(fixture_paths[0]), "--sessions", str(sessions)]
     assert main(argv + ["--out", str(tmp_path / "out.tsv")]) == 1
     assert capsys.readouterr().err == (

@@ -151,7 +151,9 @@ _CELLS = {
     "float": ["0.0", "-0.0", "0.5", "1e-1", " 2", "5e-324", "3", "-1"],
 }
 _CELLS["float | None"] = _CELLS["float"] + [""]
-_BAD_CELLS = ["", "x", "nan", "-inf", "1e999", "-2", "1.5", "9223372036854775808", "-9223372036854775809"]
+_BAD_CELLS = [
+    "", "x", "nan", "-inf", "1e999", "-2", "1.5", "9223372036854775808", "-9223372036854775809",
+]
 
 
 @st.composite
@@ -175,7 +177,10 @@ def _corpus_file(draw) -> tuple[type, tuple[str, ...], str]:
             for f in columns
         ]
         width = draw(st.integers(0, 29))
-        cells = cells[:-1] if width == 0 else cells + ["1"] if width == 1 else cells
+        if width == 0:
+            cells.pop()
+        elif width == 1:
+            cells.append("1")
         lines.append("\t".join(cells))
     crlf = draw(st.sampled_from(["none", "all", "some"]))
     lines = [line + "\r" if crlf == "all" or crlf == "some" and draw(st.booleans()) else line
@@ -228,9 +233,8 @@ def test_no_file_stays_open_after_a_reader_raises(tmp_path, fixture_paths, read,
     path = _scores_file(tmp_path, fixture_paths)
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     ids_and_rest = [row.split("\t", 1) for row in rows]
-    rows = [  # copies of the rows, each with segment ids of its own, up to the bad line
-        f"{sid}_{copy}\t{rest}" for copy in range(lineno // len(rows) + 1) for sid, rest in ids_and_rest
-    ][: lineno - 2]
+    copies = range(lineno // len(rows) + 1)  # of the rows, each with segment ids of its own
+    rows = [f"{sid}_{copy}\t{rest}" for copy in copies for sid, rest in ids_and_rest][: lineno - 2]
     bad = header.count("\t") * "1\t" + "x"  # the last column is da, a float
     path.write_text("\n".join([header, *rows, bad]) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=f"^scores: line {lineno}: non-numeric da 'x'$") as raised:
