@@ -41,7 +41,8 @@ SCORES_HEADER = tuple(f.name for f in fields(SegmentScores))
 # The one input-error class, under the name this module's callers know.
 CliError = CorpusError
 
-# Missing sessions named in the error that stops `score` and `report`.
+# Gaps that stop `score` and `report`, and how many of them the error names.
+_GAP_KINDS = ("missing-session", "zero-time")
 _GAPS_SHOWN = 3
 
 
@@ -67,9 +68,12 @@ def read_scores(path: str | Path) -> list[SegmentScores]:
 
 
 def _check_sessions(corpus: Corpus) -> None:
-    """Raise CliError naming the missing sessions, if any: every per-annotator
-    table needs every session, and an ALL row would average over fewer."""
-    gaps = [w.message for w in validate_corpus(corpus) if w.kind == "missing-session"]
+    """Raise CliError naming the missing and zero-time sessions, if any: every
+    per-annotator table needs every session, an ALL row would average over
+    fewer, and SATRA fails on a zero-time session only when a ranking puts it
+    in a zero-time suffix, so whether the run passed would depend on how the
+    metrics happened to order the segments."""
+    gaps = [w.message for w in validate_corpus(corpus) if w.kind in _GAP_KINDS]
     if gaps:
         more = f" (and {len(gaps) - _GAPS_SHOWN} more)" if len(gaps) > _GAPS_SHOWN else ""
         raise CliError(f"validate: {'; '.join(gaps[:_GAPS_SHOWN])}{more}")

@@ -81,57 +81,46 @@ def _advance(
     return vp, vn, dist
 
 
-def word_edit_distance(
-    hyp: Sequence[str],
-    ref: Sequence[str],
-    *,
-    peq: dict[str, int] | None = None,
-    start: tuple[int, int, int, int] | None = None,
-) -> int:
+def word_edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> int:
     """Levenshtein distance over tokens with unit costs.
 
     Bit-parallel (Myers 1999, in Hyyrö's 2001 edit-distance form): the
     reference is the pattern, one bit per reference token, and each
     hypothesis token advances the whole DP column in a few int operations.
-    `ter` passes the reference's match masks as `peq` and, as `start`, the
-    column after `hyp[:k]` as (k, vp, vn, dist), so the scan resumes at k.
     """
     m = len(ref)
     if not m:
         return len(hyp)
-    if peq is None:
-        peq = _match_masks(ref)
-    k, vp, vn, dist = start if start is not None else (0, (1 << m) - 1, 0, m)
-    return _advance(hyp[k:], peq, m, vp, vn, dist)[2]
+    return _advance(hyp, _match_masks(ref), m, (1 << m) - 1, 0, m)[2]
 
 
-def _column_states(
-    hyp: Sequence[str], peq: dict[str, int], m: int
-) -> list[tuple[int, int, int, int]]:
-    """Entry k is the DP column after `hyp[:k]` as (k, vp, vn, dist), the
-    form `word_edit_distance` takes as `start`."""
-    states = [(0, (1 << m) - 1, 0, m)]
-    for k, tok in enumerate(hyp, 1):
-        states.append((k, *_advance((tok,), peq, m, *states[-1][1:])))
-    return states
+def _columns(
+    tokens: Iterable[str], peq: dict[str, int], m: int, vp: int, vn: int, dist: int
+) -> list[tuple[int, int, int]]:
+    """The DP column (vp, vn, dist) after each of `tokens`, carried on from
+    the given column."""
+    out = []
+    for tok in tokens:
+        vp, vn, dist = _advance((tok,), peq, m, vp, vn, dist)
+        out.append((vp, vn, dist))
+    return out
 
 
 def _edit_breakdown(
-    hyp: Sequence[str], ref: Sequence[str], peq: dict[str, int]
+    hyp: Sequence[str], ref: Sequence[str], states: list[tuple[int, int, int]]
 ) -> tuple[int, int, int]:
     """(insertions, deletions, substitutions) along one fixed-preference optimal path.
 
     Transforms hyp into ref: a deletion removes a hyp token, an insertion adds
     a ref token. Co-optimal paths can trade a substitution for other kinds, so
     the backtrace prefers match, then substitution, then deletion. Each DP
-    cell D[i][j] (hyp[:i] against ref[:j]) is read off the column after
-    hyp[:i]: i plus the vertical deltas of its rows below j.
+    cell D[i][j] (hyp[:i] against ref[:j]) is read off `states[i]`, the
+    column after hyp[:i]: i plus the vertical deltas of its rows below j.
     """
-    states = _column_states(hyp, peq, len(ref))
 
     def cell(i: int, j: int) -> int:
         low = (1 << j) - 1
-        return i + (states[i][1] & low).bit_count() - (states[i][2] & low).bit_count()
+        return i + (states[i][0] & low).bit_count() - (states[i][1] & low).bit_count()
 
     ins = dels = subs = 0
     i, j = len(hyp), len(ref)
@@ -169,63 +158,97 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerResult:
 
     A shift moves a block that matches a reference span, and does not already
     match the reference at its own position, to where an occurrence of that
-    span starts (clamped to the end). A shifted hypothesis agrees with the
-    current one before min(block start, dest), so its distance resumes from
-    the DP column there.
+    span starts (clamped to the end). Moving the block H[b : b + length] of
+    the current hypothesis H to `dest` gives S, which agrees with H outside
+    the window [lo, hi) = [min(b, dest), max(b, dest) + length).
+
+    Candidates come in (b, length, dest) order, so one whose gain
+    ed(H, R) - ed(S, R) only ties the best gain so far never wins the tie
+    break. A candidate is dropped as soon as one of two bounds on its gain
+    is at most the best gain so far:
+
+    - Move bound: gain <= 2 * min(length, |dest - b|). By the triangle
+      inequality ed(H, R) <= ed(H, S) + ed(S, R), so gain <= ed(H, S), and S
+      is H with either the block or the |dest - b| tokens it passes deleted
+      and inserted again on the other side.
+    - Column bound: every alignment path crosses DP column k at some row j,
+      so ed(X + Y, R) = min_j ed(X, R[:j]) + ed(Y, R[j:]). For k >= hi, H
+      and S share Y = H[k:]; with j the row that is optimal for S,
+      gain <= C_H[j] - C_S[j] <= max_j (C_H[j] - C_S[j]), where C_H and C_S
+      are the columns after H[:k] and S[:k]. Both are k in row 0 and move
+      by their vertical deltas, so C_H - C_S grows by at most one per row
+      where C_H steps up and C_S does not, and one per row where C_S steps
+      down and C_H does not: gain <= popcount(vp_H & ~vp_S) +
+      popcount(vn_S & ~vn_H).
+
+    So S's column starts from H's stored column at lo, crosses the window,
+    and is carried over the shared suffix only while the column bound
+    leaves room to beat the best gain; a scan that reaches the end has the
+    exact gain.
     """
     if not ref:
         raise ValueError("empty reference")
+    m = len(ref)
     peq = _match_masks(ref)
     starts = _token_positions(ref)
     current = list(hyp)
+    n = len(current)
+    states = [((1 << m) - 1, 0, m)]  # states[k]: the column after current[:k]
+    states += _columns(current, peq, m, *states[0])
+    dist = states[n][2]
     shifts = 0
-    dist = word_edit_distance(current, ref, peq=peq)
     while dist > 0:
-        states = _column_states(current, peq, len(ref))
-        n = len(current)
-        best_key: tuple[int, int, int, int] | None = None
-        best_hyp: list[str] | None = None
+        best = 0  # the best gain so far; a candidate must beat it
+        best_shift: tuple[int, int, list[str]] | None = None
         for b in range(n):
             positions = starts.get(current[b], [])  # where the block occurs in ref
             for length in range(1, min(MAX_SHIFT_BLOCK, n - b) + 1):
                 if length > 1:  # keep the occurrences of the shorter block it extends
-                    token, last = current[b + length - 1], len(ref) - length
+                    token, last = current[b + length - 1], m - length
                     positions = [
                         r for r in positions if r <= last and ref[r + length - 1] == token
                     ]
                 if not positions:
                     break  # no longer block from b is a reference span either
+                if 2 * length <= best or b in positions:
+                    continue  # move bound, or aligned in place (not a repair)
                 block = current[b : b + length]
-                if block == list(ref[b : b + length]):
-                    continue  # aligned in place; moving it is not a repair
-                removed = current[:b] + current[b + length :]
                 last_dest = -1
                 for rpos in positions:
                     dest = min(rpos, n - length)
                     if dest == b or dest == last_dest:  # clamped dests repeat in a run
                         continue
                     last_dest = dest
-                    shifted = removed[:dest] + block + removed[dest:]
-                    gain = dist - word_edit_distance(
-                        shifted, ref, peq=peq, start=states[min(b, dest)]
-                    )
-                    if gain < 1:
-                        continue
-                    key = (-gain, b, length, dest)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_hyp = shifted
-        if best_key is None:
+                    if 2 * abs(dest - b) <= best:
+                        continue  # move bound
+                    if dest < b:
+                        lo, hi, window = dest, b + length, block + current[dest:b]
+                    else:
+                        lo, hi = b, dest + length
+                        window = current[b + length : hi] + block
+                    vp, vn, d = _advance(window, peq, m, *states[lo])
+                    for k in range(hi, n):
+                        cvp, cvn, _ = states[k]
+                        if (cvp & ~vp).bit_count() + (vn & ~cvn).bit_count() <= best:
+                            break  # column bound
+                        vp, vn, d = _advance((current[k],), peq, m, vp, vn, d)
+                    else:
+                        if dist - d > best:
+                            best = dist - d
+                            best_shift = (lo, hi, window)
+        if best_shift is None:
             break
+        lo, hi, window = best_shift
+        current[lo:hi] = window
+        states[lo + 1 :] = _columns(current[lo:], peq, m, *states[lo])
         shifts += 1
-        dist += best_key[0]  # key stores -gain
-        current = best_hyp or current
-    ins, dels, subs = _edit_breakdown(current, ref, peq)
+        dist -= best
+    ins, dels, subs = _edit_breakdown(current, ref, states)
     edits = shifts + dist
     return TerResult(
         edits=edits,
-        ref_len=len(ref),
-        score=edits / len(ref),
+        ref_len=m,
+        score=edits / m,
         breakdown={
             "insertions": ins,
             "deletions": dels,

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: full-matrix dynamic programming,
 the two-row DP and DP-scored greedy TER that the package used before its
-bit-parallel edit distance (`dp_word_edit_distance`, `dp_ter`),
+bit-parallel edit distance (`dp_word_edit_distance`, `dp_ter`), the
+bit-parallel greedy TER that scored every candidate shift to the end before
+the package pruned candidates by bounds on their gain (`unpruned_ter`),
 breadth-first search over shift sequences, exhaustive alignment enumeration,
 plain rank-then-Pearson arithmetic, the leave-one-out mean as Python's `sum`
 adds it (`loo_mean`), and the loops and sort key that ranked and scored
@@ -177,6 +179,85 @@ def dp_ter(hyp: Sequence[str], ref: Sequence[str], max_block: int = 10) -> dict:
         "edits": edits,
         "ref_len": len(ref),
         "score": edits / len(ref),
+        "breakdown": {"insertions": ins, "deletions": dels, "substitutions": subs, "shifts": shifts},
+    }
+
+
+def unpruned_ter(hyp: Sequence[str], ref: Sequence[str], max_block: int = 10) -> dict:
+    """Greedy TER as the package computed it before it pruned candidates by
+    bounds on their gain: the rules and tie break of `dp_ter`, with every
+    candidate scored to the end by Hyyrö's bit-parallel Levenshtein, resumed
+    from the DP column of the prefix it shares with the current hypothesis.
+    Returns the fields of a `TerResult` as a dict."""
+    m = len(ref)
+    mask, high = (1 << m) - 1, 1 << (m - 1)
+    peq: dict[str, int] = {}
+    starts: dict[str, list[int]] = {}
+    for j, tok in enumerate(ref):
+        peq[tok] = peq.get(tok, 0) | 1 << j
+        starts.setdefault(tok, []).append(j)
+
+    def advance(tokens, vp, vn, dist):
+        for tok in tokens:
+            eq = peq.get(tok, 0)
+            xv = eq | vn
+            xh = (((eq & vp) + vp) ^ vp) | eq
+            ph = vn | ~(xh | vp)
+            mh = vp & xh
+            dist += 1 if ph & high else -1 if mh & high else 0
+            ph = ph << 1 | 1
+            vp = (mh << 1 | ~(xv | ph)) & mask
+            vn = ph & xv
+        return vp, vn, dist
+
+    current = list(hyp)
+    shifts = 0
+    dist = advance(current, mask, 0, m)[2]
+    while dist > 0:
+        columns = [(mask, 0, m)]  # columns[k]: after current[:k]
+        for tok in current:
+            columns.append(advance((tok,), *columns[-1]))
+        n = len(current)
+        best_key = None
+        best_hyp = None
+        for b in range(n):
+            positions = starts.get(current[b], [])
+            for length in range(1, min(max_block, n - b) + 1):
+                if length > 1:
+                    token, last = current[b + length - 1], m - length
+                    positions = [r for r in positions if r <= last and ref[r + length - 1] == token]
+                if not positions:
+                    break
+                block = current[b : b + length]
+                if block == list(ref[b : b + length]):
+                    continue
+                removed = current[:b] + current[b + length :]
+                last_dest = -1
+                for rpos in positions:
+                    dest = min(rpos, n - length)
+                    if dest == b or dest == last_dest:
+                        continue
+                    last_dest = dest
+                    shifted = removed[:dest] + block + removed[dest:]
+                    k = min(b, dest)
+                    gain = dist - advance(shifted[k:], *columns[k])[2]
+                    if gain < 1:
+                        continue
+                    key = (-gain, b, length, dest)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_hyp = shifted
+        if best_key is None:
+            break
+        shifts += 1
+        dist += best_key[0]
+        current = best_hyp
+    ins, dels, subs = edit_breakdown(current, ref)
+    edits = shifts + dist
+    return {
+        "edits": edits,
+        "ref_len": m,
+        "score": edits / m,
         "breakdown": {"insertions": ins, "deletions": dels, "substitutions": subs, "shifts": shifts},
     }
 

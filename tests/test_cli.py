@@ -488,6 +488,61 @@ def test_score_stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+# Post-edits of one MT output with more and more edits, so every metric ranks
+# s0 as least effort, s2 in the middle and s4 as most effort.
+_MT = "the cat sat on the mat today"
+_EDITED = (
+    _MT,
+    "the cat sat on a mat today",
+    "a cat sat on a mat now",
+    "one dog sat on a rug now",
+    "one dog lay by a rug last night",
+)
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+@pytest.mark.parametrize("zero", [0, 2, 4], ids=["first", "middle", "last"])
+def test_zero_time_session_stops_wherever_the_ranking_puts_it(tmp_path, capsys, command, zero):
+    # SATRA fails only on a zero-time suffix of a ranking, so before this check
+    # `report` passed with the session first or in the middle and failed with it last
+    segments, sessions = _write_corpus(
+        tmp_path,
+        [f"s{i}\tsys\tsrc\t{_MT}\t{pe}\t{(5 - i) / 10}" for i, pe in enumerate(_EDITED)],
+        [
+            f"s{i}\t{a}\t{pe}\t{0 if (i, a) == (zero, 'A') else 10 + 7 * i}\t{3 * i}"
+            for i, pe in enumerate(_EDITED)
+            for a in "AB"
+        ],
+    )
+    out = tmp_path / "out"
+    flag = "--out" if command == "score" else "--out-dir"
+    code = main([command, "--segments", str(segments), "--sessions", str(sessions), flag, str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: validate: zero post-editing time for segment 's{zero}', annotator 'A'\n"
+    )
+    assert not out.exists()
+
+
+def test_gaps_named_are_missing_then_zero_time_sessions(tmp_path, monkeypatch, capsys):
+    import pe_rank.cli as cli
+
+    monkeypatch.setattr(cli, "score_corpus", None)  # never reached
+    segments, sessions = _write_corpus(
+        tmp_path,
+        [f"s{i}\tsys\tsrc\tmt here\tref here\t0.1" for i in range(1, 4)],
+        ["s1\tA\tmt here\t0\t5", "s1\tB\tmt here\t0\t5", "s2\tA\tmt here\t10\t5",
+         "s3\tA\tmt here\t0\t5", "s3\tB\tmt here\t10\t5"],
+    )
+    code = main(["score", "--segments", str(segments), "--sessions", str(sessions), "--out", str(tmp_path / "s.tsv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: validate: annotator 'B' has no session for segment 's2'; "
+        "zero post-editing time for segment 's1', annotator 'A'; "
+        "zero post-editing time for segment 's1', annotator 'B' (and 1 more)\n"
+    )
+
+
 _REPORT = ["report", "--segments", "SEG", "--sessions", "SESS", "--out-dir", "OUT"]
 
 

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from pe_rank.textmetrics import bleu, meteor_lite, ter, word_edit_distance
 
-from oracles import brute_min_chunks, dp_ter, dp_word_edit_distance, exhaustive_shift_min, levenshtein
+from oracles import (
+    brute_min_chunks,
+    dp_ter,
+    dp_word_edit_distance,
+    exhaustive_shift_min,
+    levenshtein,
+    unpruned_ter,
+)
 
 tokens = st.lists(st.sampled_from("abcd"), min_size=0, max_size=6)
 nonempty_tokens = st.lists(st.sampled_from("abcd"), min_size=1, max_size=6)
@@ -31,6 +38,9 @@ def word_pairs(vocab_sizes, hyp_lengths, ref_lengths):
 long_pairs = word_pairs(st.integers(1, 6), st.integers(0, 100), st.integers(0, 100))
 # Vocabularies of 2 to 5 words make many shifts tie on gain.
 ter_pairs = word_pairs(st.integers(2, 5), st.integers(0, 80), st.integers(1, 80))
+# Vocabularies of 1 to 4 words make most candidate shifts tie on gain, and
+# ties are where pruning on an equal bound could go wrong.
+tie_pairs = word_pairs(st.integers(1, 4), st.integers(0, 40), st.integers(1, 40))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +157,51 @@ def test_ter_matches_dp_greedy_ter_on_unrelated_80_token_sentences():
     result = ter(hyp, ref)
     assert result.__dict__ == dp_ter(hyp, ref)
     assert result.breakdown["shifts"] == 14
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_pairs, st.sampled_from([list, tuple]), st.sampled_from([list, tuple]))
+def test_pruned_ter_matches_unpruned_ter(pair, hyp_type, ref_type):
+    hyp, ref = pair
+    assert ter(hyp_type(hyp), ref_type(ref)).__dict__ == unpruned_ter(hyp, ref)
+
+
+@st.composite
+def block_shifts(draw):
+    """(hyp, ref, b, length, dest): any block of hyp moved to any place,
+    whether or not `ter` would consider the move."""
+    vocab = st.sampled_from("abcd"[: draw(st.integers(1, 4))])
+    hyp = draw(st.lists(vocab, min_size=1, max_size=12))
+    ref = draw(st.lists(vocab, max_size=12))
+    length = draw(st.integers(1, len(hyp)))
+    b = draw(st.integers(0, len(hyp) - length))
+    dest = draw(st.integers(0, len(hyp) - length))
+    return hyp, ref, b, length, dest
+
+
+def dp_column(prefix, ref):
+    """Entry j is ed(prefix, ref[:j]), by the DP oracle."""
+    return [dp_word_edit_distance(prefix, ref[:j]) for j in range(len(ref) + 1)]
+
+
+@given(block_shifts())
+def test_shift_gain_bounds_hold(case):
+    """The two bounds `ter` prunes by, checked against full DP distances:
+    the move bound, and at every column past the moved span the column bound
+    in both its max-over-rows and its vertical-delta (popcount) forms."""
+    hyp, ref, b, length, dest = case
+    removed = hyp[:b] + hyp[b + length :]
+    shifted = removed[:dest] + hyp[b : b + length] + removed[dest:]
+    gain = dp_word_edit_distance(hyp, ref) - dp_word_edit_distance(shifted, ref)
+    assert gain <= 2 * min(length, abs(dest - b))
+    hi = max(b, dest) + length
+    assert shifted[hi:] == hyp[hi:]
+    for k in range(hi, len(hyp) + 1):
+        col_h, col_s = dp_column(hyp[:k], ref), dp_column(shifted[:k], ref)
+        rows = max(h - s for h, s in zip(col_h, col_s))
+        steps = [(col_h[j + 1] - col_h[j], col_s[j + 1] - col_s[j]) for j in range(len(ref))]
+        deltas = sum((h == 1 and s != 1) + (s == -1 and h != -1) for h, s in steps)
+        assert gain <= rows <= deltas
 
 
 def test_ter_matches_oracle_on_displaced_blocks():
