@@ -13,11 +13,11 @@ from array import array
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ALL_ANNOTATORS, CorpusError, read_tsv, read_tsv_columns
+from .corpus import ALL_ANNOTATORS, CorpusError, read_tsv_columns
 from .rankeval import (
     DA_METRIC,
     GOLD_METRIC,
@@ -36,33 +36,6 @@ from .taskmetrics import SegmentScores
 # here: postponed evaluation).
 FLOAT_FIELDS = tuple(f.name for f in fields(SegmentScores) if f.type.startswith("float"))
 _float_cells = attrgetter(*FLOAT_FIELDS)
-
-
-def iter_scores(path: str | Path) -> Iterator[SegmentScores]:
-    """The rows of a scores file written by `score` (or an equivalent producer),
-    parsed one at a time.
-
-    Beyond the cell and header checks of `read_tsv`, rejects a second row for
-    the same (segment, annotator) pair and a row whose mt_tokens differs from
-    an earlier row of its segment, naming the line.
-    """
-    seen: dict[str, set[str]] = {}  # annotator -> segment ids read so far
-    tokens: dict[str, int] = {}  # segment id -> mt_tokens of its first row
-    for lineno, row in read_tsv(path, SegmentScores, "scores"):
-        sid = row.segment_id
-        segments = seen.setdefault(row.annotator_id, set())
-        if sid in segments:
-            raise CorpusError(
-                f"scores: line {lineno}: duplicate row for segment "
-                f"'{sid}', annotator '{row.annotator_id}'"
-            )
-        segments.add(sid)
-        if tokens.setdefault(sid, row.mt_tokens) != row.mt_tokens:
-            raise CorpusError(
-                f"scores: line {lineno}: mt_tokens {row.mt_tokens} for segment '{sid}'"
-                f" differs from {tokens[sid]} on an earlier row"
-            )
-        yield row
 
 
 class ScoreViews:
@@ -104,48 +77,48 @@ class ScoreViews:
     def read(cls, path: str | Path) -> ScoreViews:
         """The views of a scores file, parsed and checked column by column.
 
-        A file that fails a check is read again through `iter_scores`, whose walk
-        in row order names the first bad line (a duplicate row before a bad cell).
+        A bad file raises the error of its first bad line, in row order: the
+        rows before a bad cell are grouped first, so a duplicate row among them
+        is named before it.
         """
-        try:
-            columns = read_tsv_columns(path, SegmentScores, "scores")
-            views = cls.__new__(cls)
-            views._group(*columns["segment_id"], *columns["annotator_id"],
-                         columns["mt_tokens"], {f: columns[f] for f in FLOAT_FIELDS})
-            return views
-        except ValueError:
-            pass
-        return cls(iter_scores(path))
+        line, columns, error = read_tsv_columns(path, SegmentScores, "scores")
+        views = cls.__new__(cls)
+        views._group(*columns["segment_id"], *columns["annotator_id"], columns["mt_tokens"],
+                     {f: columns[f] for f in FLOAT_FIELDS}, line)
+        if error:
+            raise error
+        return views
 
     def _group(
         self, segment_codes: np.ndarray, segments: list[str],
         annotator_codes: np.ndarray, annotators: list[str],
         mt_tokens: np.ndarray, floats: dict[str, np.ndarray],
+        line: Callable[[int], int] | None = None,
     ) -> None:
         """Sort rows into views: row i is segment `segments[segment_codes[i]]`
         as annotator `annotators[annotator_codes[i]]`, codes numbered in order
-        of first appearance. Raises ValueError for a segment whose rows differ
-        in mt_tokens, then for an annotator with two rows for one segment."""
+        of first appearance. Raises CorpusError for the first row that repeats
+        an earlier row's (segment, annotator) pair or differs in mt_tokens from
+        its segment's first row (a repeat first), naming its `line` if given."""
         n = len(segments)
         first = np.unique(segment_codes, return_index=True)[1]  # first row of each segment
-        differ = mt_tokens != mt_tokens[first][segment_codes]
-        if differ.any():
-            row = int(np.argmax(differ))
-            code = segment_codes[row]
-            raise ValueError(
-                f"segment '{segments[code]}' has mt_tokens {mt_tokens[first[code]]}"
-                f" and {mt_tokens[row]}"
-            )
+        differ = np.flatnonzero(mt_tokens != mt_tokens[first][segment_codes])
         by_id = sorted(range(n), key=segments.__getitem__)
         position = np.empty(n, dtype=np.int64)  # segment code -> place in segment id order
         position[by_id] = np.arange(n)
         keys = annotator_codes * n + position[segment_codes]
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        twice = keys[1:] == keys[:-1]
-        if twice.any():
-            code = int(keys[1:][twice].min() // n)
-            raise ValueError(f"annotator '{annotators[code]}' has two rows for one segment")
+        repeats = order[1:][keys[1:] == keys[:-1]]  # stable: the later rows of each pair
+        if len(repeats) or len(differ):
+            row = int(np.concatenate([repeats, differ]).min())
+            code = segment_codes[row]
+            where = "" if line is None else f"scores: line {line(row)}: "
+            if row in repeats:
+                raise CorpusError(f"{where}duplicate row for segment '{segments[code]}', "
+                                  f"annotator '{annotators[annotator_codes[row]]}'")
+            raise CorpusError(f"{where}mt_tokens {mt_tokens[row]} for segment '{segments[code]}'"
+                              f" differs from {mt_tokens[first[code]]} on an earlier row")
         self.segment_ids = [segments[code] for code in by_id]
         self.annotators = sorted(set(annotators) - {ALL_ANNOTATORS})
         self._mt_tokens = mt_tokens[first][by_id]

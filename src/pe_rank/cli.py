@@ -29,10 +29,9 @@ from .analysis import (
     build_report,
     build_scatter,
     build_tails,
-    iter_scores,
     stage,
 )
-from .corpus import Corpus, CorpusError, format_tsv, load_corpus, validate_corpus
+from .corpus import Corpus, CorpusError, format_tsv, load_corpus, read_tsv, validate_corpus
 from .taskmetrics import SegmentScores, score_corpus
 from .textmetrics import ter  # noqa: F401 - perfbench/test_generate.py traces this binding
 
@@ -59,8 +58,9 @@ def _write_tsv(path: Path, header: Sequence[str], rows: Iterable[dict]) -> None:
 
 
 def read_scores(path: str | Path) -> list[SegmentScores]:
-    """Every row of a scores file, checked as by `iter_scores`."""
-    return list(iter_scores(path))
+    """Every row of a scores file, checked as by `ScoreViews.read`."""
+    ScoreViews.read(path)
+    return [row for _, row in read_tsv(path, SegmentScores, "scores")]
 
 
 # ---------------------------------------------------------------------------

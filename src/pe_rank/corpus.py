@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -300,30 +300,50 @@ def read_tsv(
         yield from zip(numbers, map(cls, *values))
 
 
-def read_tsv_columns(path: str | Path, cls: type, label: str) -> dict[str, object]:
+def read_tsv_columns(
+    path: str | Path, cls: type, label: str
+) -> tuple[Callable[[int], int], dict[str, object], CorpusError | None]:
     """The data rows of a TSV file, read as by `read_tsv`, as one column per field of `cls`.
 
-    A `str` column is (codes, values): an int64 code per row, and the unescaped
+    Returns (line, columns, error). `line(i)` is the line number of row i. A
+    `str` column is (codes, values): an int64 code per row, and the unescaped
     value of each code, numbered in order of first appearance. An `int` column
-    is int64; a `float` or `float | None` column is float64, NaN for an empty cell.
+    is int64; a `float` or `float | None` column is float64, NaN for an empty
+    cell. `error` is None, or the CorpusError that `read_tsv` raises for the
+    file; the columns then hold every row before the bad line.
     """
     values = {f.name: {} for f in fields(cls) if f.type == "str"}  # unescaped value -> code
     parts = {  # each column's chunks, after an empty one of its dtype
         f.name: [np.empty(0, np.float64 if f.type.startswith("float") else np.int64)]
         for f in fields(cls)
     }
-    for _, columns in _parse(path, cls, label):
-        for f, column in zip(fields(cls), columns):
-            if f.type == "str":  # two raw cells may unescape alike (a lone backslash stays)
-                known = values[f.name]
-                codes = {raw: known.setdefault(unescape_field(raw), len(known))
-                         for raw in dict.fromkeys(column)}
-                column = np.fromiter(map(codes.__getitem__, column), np.int64, len(column))
-            parts[f.name].append(column)
-    out: dict[str, object] = {name: np.concatenate(chunks) for name, chunks in parts.items()}
+    chunks: list[Sequence[int]] = []  # each chunk's line numbers
+    error = None
+    try:
+        for numbers, columns in _parse(path, cls, label):
+            chunks.append(numbers)
+            for f, column in zip(fields(cls), columns):
+                if f.type == "str":  # two raw cells may unescape alike (a lone backslash stays)
+                    known = values[f.name]
+                    codes = {raw: known.setdefault(unescape_field(raw), len(known))
+                             for raw in dict.fromkeys(column)}
+                    column = np.fromiter(map(codes.__getitem__, column), np.int64, len(column))
+                parts[f.name].append(column)
+    except CorpusError as exc:
+        error = exc
+
+    def line(row: int) -> int:
+        for numbers in chunks:
+            if row < len(numbers):
+                return numbers[row]
+            row -= len(numbers)
+        raise IndexError("row beyond the rows read")
+
+    # each column's chunks are let go once joined, so at most one column is held twice
+    out: dict[str, object] = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
     for name, known in values.items():
         out[name] = (out[name], list(known))
-    return out
+    return line, out, error
 
 
 def format_tsv(header: Sequence[str], rows: Iterable[Mapping]) -> str:

@@ -155,7 +155,7 @@ def satra(times: Sequence[float] | np.ndarray, lengths: Sequence[int] | np.ndarr
         raise ValueError("times must be non-negative")
     with np.errstate(all="ignore"):  # overflow and underflow are caught below
         time_prefix = _running_sums(times)[1:]
-        len_prefix = np.cumsum(lengths)
+        len_prefix = _running_sums(lengths)[1:]  # in float64: int64 sums would wrap past 2**63
         time_suffix = time_prefix[-1] - time_prefix[:-1]
         if (time_suffix <= 0).any():
             raise ValueError("degenerate times: zero-time suffix")

@@ -293,9 +293,7 @@ def bleu(hyp: Sequence[str], ref: Sequence[str], max_n: int = 4) -> float:
 
 
 def _greedy_chunks(hyp: Sequence[str], ref: Sequence[str], need: Counter) -> int:
-    ref_positions: dict[str, list[int]] = {}
-    for j, w in enumerate(ref):
-        ref_positions.setdefault(w, []).append(j)
+    ref_positions = _token_positions(ref)
     used = [False] * len(ref)
     left = dict(need)
     chunks = 0
@@ -356,9 +354,7 @@ def _exact_min_chunks(
     is currently open), so partial states that cannot beat the incumbent are
     pruned.
     """
-    ref_positions: dict[str, list[int]] = {}
-    for j, w in enumerate(ref):
-        ref_positions.setdefault(w, []).append(j)
+    ref_positions = _token_positions(ref)
     # occurrences of hyp[i] at or after i, for the may-we-skip test
     occ_after = [0] * len(hyp)
     tally: Counter = Counter()

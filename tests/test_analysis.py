@@ -87,9 +87,9 @@ def _all_row(sid: str, hter: float) -> SegmentScores:
     "bad, message",
     [
         (_all_row("s3", math.nan), "NaN score"),
-        (_all_row("s0", 0.2), "two rows for one segment"),
+        (_all_row("s0", 0.2), "^duplicate row for segment 's0', annotator 'ALL'$"),
         (replace(_all_row("s1", 0.2), annotator_id="a", mt_tokens=4),
-         "segment 's1' has mt_tokens 3 and 4"),
+         "^mt_tokens 4 for segment 's1' differs from 3 on an earlier row$"),
     ],
     ids=["nan", "duplicate", "mt_tokens"],
 )

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pe_rank.analysis import ScoreViews, build_stats_table, loo_gold
 from pe_rank.cli import (
@@ -20,6 +23,8 @@ from pe_rank.cli import (
 from pe_rank.corpus import load_corpus
 from pe_rank.rankeval import spearman
 from pe_rank.taskmetrics import SegmentScores
+
+from mutations import cell_pool, mutated_lines
 
 SEG_HEADER = "id\tsystem_id\tsource\tmt\treference\tda"
 SESS_HEADER = "segment_id\tannotator_id\tpe_text\tpe_time_sec\tkeystrokes"
@@ -604,3 +609,56 @@ def test_rank_eval_times_that_over_or_underflow_exit_1(tmp_path, capsys, time):
     assert main(argv) == 1
     assert "error: metric TER: degenerate times" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rank_eval_mt_tokens_summing_past_int64_keep_satra_right(tmp_path):
+    golden = Path(__file__).parent / "golden" / "seeded" / "expected" / "scores.tsv"
+    scores = tmp_path / "scores.tsv"
+    write_scores([replace(r, mt_tokens=4 * 10**18) for r in read_scores(golden)], scores)
+    out = tmp_path / "out.tsv"
+    assert main(["rank-eval", "--scores", str(scores), "--annotator", "ALL", "--out", str(out)]) == 0
+    header, *rows = (line.split("\t") for line in out.read_text(encoding="utf-8").splitlines())
+    petpw = next(dict(zip(header, row)) for row in rows if row[0] == "PETPW")
+    assert float(petpw["satra"]) < 1  # gold ranked by itself: least effort first
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+# Each input file: its path, and how many id columns lead its lines.
+_INPUTS = {
+    "scores": (Path(__file__).parent / "golden" / "fixtures" / "expected" / "scores.tsv", 2),
+    "segments": (_FIXTURES / "segments.tsv", 1),
+    "sessions": (_FIXTURES / "sessions.tsv", 2),
+}
+_LINES = {name: path.read_text(encoding="utf-8").splitlines() for name, (path, _) in _INPUTS.items()}
+_RUNS = [  # (command, the input file that is damaged)
+    (("rank-eval", "--annotator", "ALL"), "scores"),
+    (("rank-eval", "--annotator", "ANN0"), "scores"),
+    (("loo",), "scores"),
+    (("tails", "--side", "worst", "--max", "2", "--step", "1"), "scores"),
+    (("score",), "segments"),
+    (("score",), "sessions"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_RUNS), st.data())
+def test_damaged_inputs_exit_0_or_1(fuzz_dir, run, data):
+    command, damaged = run
+    paths = {name: fuzz_dir / f"{name}.tsv" for name in _INPUTS}
+    for name, lines in _LINES.items():
+        if name == damaged:
+            lines = data.draw(mutated_lines(lines, cell_pool(lines, _INPUTS[name][1])))
+        paths[name].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    if command == ("score",):
+        inputs = ["--segments", str(paths["segments"]), "--sessions", str(paths["sessions"])]
+    else:
+        inputs = ["--scores", str(paths["scores"])]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([*command, *inputs, "--out", str(fuzz_dir / "out.tsv")])
+    assert code in (0, 1), stderr.getvalue()  # an exception main() lets out fails the test too

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pe_rank.rankeval import (
     Polarity,
@@ -297,7 +297,19 @@ def _ranked_times_and_lengths(draw) -> tuple[list[float], list[int]]:
 
 @given(_ranked_times_and_lengths())
 def test_satra_matches_loop_bit_for_bit(case):
+    _satra_as_loop(*case)
+
+
+@given(_ranked_times_and_lengths())
+def test_satra_lengths_summing_past_int64_match_loop_bit_for_bit(case):
     times, lengths = case
+    lengths = [k * 2**57 for k in lengths]  # each fits int64: 60 * 2**57 < 2**63
+    assume(sum(lengths) > np.iinfo(np.int64).max)
+    _satra_as_loop(times, lengths)
+
+
+def _satra_as_loop(times: list[float], lengths: list[int]) -> None:
+    """`satra` returns `satra_loop`'s score bit for bit, or raises where it fails."""
     try:
         expected = satra_loop(times, lengths)
     except ValueError as exc:  # a zero-time suffix

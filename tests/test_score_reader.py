@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from pe_rank import analysis
+from pe_rank import corpus
 from pe_rank.analysis import FLOAT_FIELDS, ScoreViews
 from pe_rank.cli import SCORES_HEADER
 from pe_rank.corpus import ALL_ANNOTATORS, MINIMUM, CorpusError, escape_field
 from pe_rank.taskmetrics import SegmentScores
 
+from mutations import cell_pool, mutated_lines
 from oracles import row_score_views
 
 SEEDED = Path(__file__).parent / "golden" / "seeded" / "expected" / "scores.tsv"
@@ -39,14 +40,19 @@ def _same_views(views: ScoreViews, oracle: dict) -> None:
 
 
 def _read_once(path: Path) -> ScoreViews:
-    """`ScoreViews.read(path)`, failing if it reads the file again through `iter_scores`."""
+    """`ScoreViews.read(path)`, failing unless it parses the file exactly once."""
+    parse, calls = corpus._parse, []
 
-    def read_again(path):
-        raise AssertionError(f"{path} read again through iter_scores")
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "iter_scores", read_again)
-        return ScoreViews.read(path)
+        patch.setattr(corpus, "_parse", counted)
+        try:
+            return ScoreViews.read(path)
+        finally:
+            assert len(calls) == 1, f"{path} parsed {len(calls)} times"
 
 
 def _outcome(read, path: Path):
@@ -58,8 +64,9 @@ def _outcome(read, path: Path):
 
 
 def _same_outcome(path: Path) -> None:
-    """Both readers give equal views, or raise the same exception and message."""
-    expected, got = _outcome(row_score_views, path), _outcome(ScoreViews.read, path)
+    """Both readers give equal views, or raise the same exception and message;
+    `ScoreViews.read` parses the file once."""
+    expected, got = _outcome(row_score_views, path), _outcome(_read_once, path)
     if isinstance(expected, dict):
         _same_views(got, expected)
     else:
@@ -185,6 +192,11 @@ FAULTS = {
     "bad cell, then a duplicate": lambda L: _set(L, 4, "ter", "x") + [L[7]],
     "mismatch, then a wrong field count": lambda L: _set(L[:-1], 3, "mt_tokens", "2") + [L[-1] + "\t"],
     "below minimum, then nan": lambda L: _set(_set(L, 9, "petpw", "nan"), 5, "keys_per_char", "-1"),
+    "blank lines, then a duplicate": lambda L: L[:3] + ["", ""] + L[3:] + [L[4]],
+    # line 3 alone fills the first chunk, so the duplicate's line is in the second
+    "a duplicate in a later chunk": lambda L: (
+        _set(L, 3, "segment_id", "s" * corpus._CHUNK_BYTES) + [L[5]]
+    ),
 }
 
 
@@ -195,6 +207,19 @@ def test_planted_fault_raises_as_the_oracle(scratch, fault):
     _same_outcome(scratch)
     with pytest.raises(CorpusError, match="^scores: "):
         ScoreViews.read(scratch)
+
+
+_SEEDED_LINES = SEEDED.read_text(encoding="utf-8").splitlines()
+
+
+# 64 bytes puts each line in a chunk of its own, 300 two or three lines
+@pytest.mark.parametrize("chunk_bytes", [64, 300, corpus._CHUNK_BYTES])
+@given(mutated_lines(_SEEDED_LINES, cell_pool(_SEEDED_LINES, 2)))
+def test_mutated_file_reads_as_by_the_oracle(scratch, chunk_bytes, lines):
+    scratch.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_CHUNK_BYTES", chunk_bytes)
+        _same_outcome(scratch)
 
 
 def _id_last(lines: list[str]) -> list[str]:
