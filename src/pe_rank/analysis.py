@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ALL_ANNOTATORS, CorpusError, read_tsv_columns
+from .corpus import ALL_ANNOTATORS, CorpusError, format_tsv, read_tsv_columns
 from .rankeval import (
     DA_METRIC,
     GOLD_METRIC,
@@ -30,20 +28,20 @@ from .rankeval import (
     tail_overlap,
 )
 from .stats import cluster_annotators, weighted_mean_std, williams_test
-from .taskmetrics import SegmentScores
+from .taskmetrics import SCORES_HEADER, SegmentScores
 
 # The SegmentScores fields held as float64 columns (annotations are strings
 # here: postponed evaluation).
 FLOAT_FIELDS = tuple(f.name for f in fields(SegmentScores) if f.type.startswith("float"))
-_float_cells = attrgetter(*FLOAT_FIELDS)
 
 
 class ScoreViews:
     """Score rows as columns, one set per annotator view and one for ALL.
 
-    No row object is kept. Each view holds, in segment id order, a float64
-    column per field of FLOAT_FIELDS, NaN where a row has no value (None),
-    gathered from the rows when first asked for; all views share one int
+    `ScoreViews(rows)` checks row i as line i + 2 of the scores file that
+    `format_tsv` writes for the rows, as `ScoreViews.read` checks a file. No
+    row object is kept. Each view holds, in segment id order, a float64 column
+    per field of FLOAT_FIELDS, NaN where a row has no value; all views share one int
     `mt_tokens` column: every row of a segment must carry the same
     `mt_tokens`. A view must cover every segment of the rows. That check is
     made when the view is asked for, so a command that needs only the ALL
@@ -51,55 +49,36 @@ class ScoreViews:
     """
 
     def __init__(self, rows: Iterable[SegmentScores]) -> None:
-        segments: dict[str, int] = {}  # segment id -> code
-        annotators: dict[str, int] = {}  # annotator id -> code
-        codes = array("q")  # segment code, annotator code, per row
-        tokens: list[int] = []
-        cells = array("d")
-        missing = 0  # None cells, stored as NaN
-        for row in rows:
-            codes.append(segments.setdefault(row.segment_id, len(segments)))
-            codes.append(annotators.setdefault(row.annotator_id, len(annotators)))
-            tokens.append(row.mt_tokens)
-            values = _float_cells(row)
-            if None in values:
-                missing += values.count(None)
-                values = [math.nan if v is None else v for v in values]
-            cells.extend(values)
-        block = np.array(cells).reshape(len(tokens), len(FLOAT_FIELDS))
-        pairs = np.array(codes).reshape(len(tokens), 2)
-        self._group(pairs[:, 0], list(segments), pairs[:, 1], list(annotators),
-                    np.array(tokens), dict(zip(FLOAT_FIELDS, block.T)))
-        if np.count_nonzero(np.isnan(block)) != missing:
-            raise ValueError("NaN score in the rows (a missing value is None)")
+        # the text as one item: str.splitlines would also split an id at U+2028 and the like
+        self._read([format_tsv(SCORES_HEADER, map(vars, rows))])
 
     @classmethod
-    def read(cls, path: str | Path) -> ScoreViews:
-        """The views of a scores file, parsed and checked column by column.
-
-        A bad file raises the error of its first bad line, in row order: the
-        rows before a bad cell are grouped first, so a duplicate row among them
-        is named before it.
-        """
-        line, columns, error = read_tsv_columns(path, SegmentScores, "scores")
+    def read(cls, source: str | Path | Iterable[str]) -> ScoreViews:
+        """The views of a scores file, a path or an iterable of lines, parsed and
+        checked column by column. A bad file raises the error of its first bad
+        line, in row order: the rows before a bad cell are grouped first, so a
+        duplicate row among them is named before it."""
         views = cls.__new__(cls)
-        views._group(*columns["segment_id"], *columns["annotator_id"], columns["mt_tokens"],
-                     {f: columns[f] for f in FLOAT_FIELDS}, line)
+        views._read(source)
+        return views
+
+    def _read(self, source: str | Path | Iterable[str]) -> None:
+        line, columns, error = read_tsv_columns(source, SegmentScores, "scores")
+        self._group(*columns["segment_id"], *columns["annotator_id"], columns["mt_tokens"],
+                    {f: columns[f] for f in FLOAT_FIELDS}, line)
         if error:
             raise error
-        return views
 
     def _group(
         self, segment_codes: np.ndarray, segments: list[str],
         annotator_codes: np.ndarray, annotators: list[str],
-        mt_tokens: np.ndarray, floats: dict[str, np.ndarray],
-        line: Callable[[int], int] | None = None,
+        mt_tokens: np.ndarray, floats: dict[str, np.ndarray], line: Callable[[int], int],
     ) -> None:
         """Sort rows into views: row i is segment `segments[segment_codes[i]]`
         as annotator `annotators[annotator_codes[i]]`, codes numbered in order
         of first appearance. Raises CorpusError for the first row that repeats
         an earlier row's (segment, annotator) pair or differs in mt_tokens from
-        its segment's first row (a repeat first), naming its `line` if given."""
+        its segment's first row (a repeat first), naming its `line`."""
         n = len(segments)
         first = np.unique(segment_codes, return_index=True)[1]  # first row of each segment
         differ = np.flatnonzero(mt_tokens != mt_tokens[first][segment_codes])
@@ -113,7 +92,7 @@ class ScoreViews:
         if len(repeats) or len(differ):
             row = int(np.concatenate([repeats, differ]).min())
             code = segment_codes[row]
-            where = "" if line is None else f"scores: line {line(row)}: "
+            where = f"scores: line {line(row)}: "
             if row in repeats:
                 raise CorpusError(f"{where}duplicate row for segment '{segments[code]}', "
                                   f"annotator '{annotators[annotator_codes[row]]}'")

@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,10 +31,8 @@ from .analysis import (
     stage,
 )
 from .corpus import Corpus, CorpusError, format_tsv, load_corpus, read_tsv, validate_corpus
-from .taskmetrics import SegmentScores, score_corpus
+from .taskmetrics import SCORES_HEADER, SegmentScores, score_corpus
 from .textmetrics import ter  # noqa: F401 - perfbench/test_generate.py traces this binding
-
-SCORES_HEADER = tuple(f.name for f in fields(SegmentScores))
 
 # The one input-error class, under the name this module's callers know.
 CliError = CorpusError
@@ -117,12 +114,14 @@ def cmd_report(args: argparse.Namespace) -> None:
     corpus = stage("load", load_corpus, args.segments, args.sessions)
     _check_sessions(corpus)
     rows = stage("score", score_corpus, corpus)
-    report = build_report(ScoreViews(rows), args.williams_alpha, args.ks_alpha)
+    # the tables read the very text written as scores.tsv
+    scores = format_tsv(SCORES_HEADER, map(vars, rows))
+    report = build_report(ScoreViews.read([scores]), args.williams_alpha, args.ks_alpha)
     scatter = stage("scatter", build_scatter, rows)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_scores(rows, out_dir / "scores.tsv")
+    (out_dir / "scores.tsv").write_text(scores, encoding="utf-8")
     _write_tsv(out_dir / "stats.tsv", _STATS_HEADER, report["stats_tables"])
     ranking = report["ranking_table"]
     for name, key, header in (

@@ -195,14 +195,15 @@ def _parse(
     """The data rows of a TSV file as `_columns` yields them, a chunk of lines
     at a time, under `read_tsv`'s rules; CorpusError is raised with the file closed."""
     if isinstance(source, (str, Path)):
-        file = open(source, encoding="utf-8", newline="\n")
-    else:  # an iterable of lines, each with its LF or not, is read whole
-        file = io.StringIO("".join(line if line.endswith("\n") else line + "\n" for line in source))
+        file = open(source, "rb")
+    else:  # lines, each with its LF or not, read whole; a lone surrogate fails on its line
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+        file = io.BytesIO(text.encode("utf-8", "surrogatepass"))
     header = None
     end = 0  # number of the last line read
     with file:
         while lines := file.readlines(_CHUNK_BYTES):
-            text = "".join(lines)
+            text, error = _decoded(b"".join(lines), end, label)
             if "\r" in text:  # one CR before a line's LF, or before the file's end, is dropped
                 text = text.replace("\r\n", "\n").removesuffix("\r")
             rows = text.removesuffix("\n").split("\n")
@@ -217,8 +218,23 @@ def _parse(
                 plan = list(zip(fields(cls), _cell_indices(header, cls, label, optional)))
             if rows:
                 yield from _columns(rows, numbers, plan, len(header), label)
+            if error:
+                raise error
     if header is None:
         raise CorpusError(f"{label}: empty input (header row required)")
+
+
+def _decoded(data: bytes, end: int, label: str) -> tuple[str, CorpusError | None]:
+    """UTF-8 lines, the first of them line `end` + 1, as text; if a line does not
+    decode, the text before it and the CorpusError naming it."""
+    try:
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:  # lines end at LF, so no character spans two
+        start = data.rfind(b"\n", 0, exc.start) + 1  # the bad line's first byte
+        line = end + 1 + data.count(b"\n", 0, start)
+        bad = UnicodeDecodeError(exc.encoding, data[start:exc.end], exc.start - start,
+                                 exc.end - start, exc.reason)  # positions within the line
+        return data[:start].decode("utf-8"), CorpusError(f"{label}: line {line}: {bad}")
 
 
 def _columns(
@@ -285,8 +301,8 @@ def read_tsv(
     per field of the dataclass `cls`, in any order; a column named in
     `optional` may be absent and then reads as empty cells. Blank lines are
     skipped but counted, so the line number of every error is the line in the
-    file. A bad row (see `_cell_error`) raises CorpusError naming `label` and
-    its line.
+    file. A bad row (see `_cell_error`), or a line that is not UTF-8,
+    raises CorpusError naming `label` and its line.
     """
     for numbers, columns in _parse(source, cls, label, optional):
         values = []
@@ -301,9 +317,10 @@ def read_tsv(
 
 
 def read_tsv_columns(
-    path: str | Path, cls: type, label: str
+    source: str | Path | Iterable[str], cls: type, label: str
 ) -> tuple[Callable[[int], int], dict[str, object], CorpusError | None]:
-    """The data rows of a TSV file, read as by `read_tsv`, as one column per field of `cls`.
+    """The data rows of a TSV file (a path or an iterable of lines), read as by
+    `read_tsv`, as one column per field of `cls`.
 
     Returns (line, columns, error). `line(i)` is the line number of row i. A
     `str` column is (codes, values): an int64 code per row, and the unescaped
@@ -320,7 +337,7 @@ def read_tsv_columns(
     chunks: list[Sequence[int]] = []  # each chunk's line numbers
     error = None
     try:
-        for numbers, columns in _parse(path, cls, label):
+        for numbers, columns in _parse(source, cls, label):
             chunks.append(numbers)
             for f, column in zip(fields(cls), columns):
                 if f.type == "str":  # two raw cells may unescape alike (a lone backslash stays)
@@ -362,8 +379,8 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # float(): a subclass, such as np.float64, may repr otherwise
+        return repr(float(value))
     return escape_field(str(value))
 
 

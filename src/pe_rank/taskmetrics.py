@@ -36,6 +36,10 @@ class SegmentScores:
     da: float | None
 
 
+# The columns of a scores file, in the order `format_tsv` writes them.
+SCORES_HEADER = tuple(f.name for f in fields(SegmentScores))
+
+
 def petpw(pe_time_sec: float, mt_token_count: int) -> float:
     """Post-editing seconds per MT word."""
     if mt_token_count == 0:

@@ -481,11 +481,20 @@ def score_corpus_per_session(corpus) -> list:
     return out
 
 
-def _row_lines(source) -> Iterator[str]:
-    """Lines without their LF and one trailing CR, read one at a time."""
+def _row_lines(source, label: str) -> Iterator[str]:
+    """Lines without their LF and one trailing CR, read one at a time; a file
+    is decoded line by line, and a line that is not UTF-8 raises CorpusError
+    naming `label` and the line."""
+    from pe_rank.corpus import CorpusError
+
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="\n") as fh:
-            yield from _row_lines(fh)
+        with open(source, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CorpusError(f"{label}: line {lineno}: {exc}") from None
+                yield line.removesuffix("\n").removesuffix("\r")
     else:
         for raw in source:
             yield raw.removesuffix("\n").removesuffix("\r")
@@ -539,7 +548,7 @@ def row_read_tsv(
     """
     from pe_rank.corpus import CorpusError
 
-    lines = enumerate(_row_lines(source), start=1)
+    lines = enumerate(_row_lines(source, label), start=1)
     header = next((line.split("\t") for _, line in lines if line), None)
     if header is None:
         raise CorpusError(f"{label}: empty input (header row required)")

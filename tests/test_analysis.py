@@ -25,7 +25,9 @@ _value = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 0.1, 0.2, 0.3, 1.0, 3.0, 
 @st.composite
 def _scores_rows(draw) -> list[SegmentScores]:
     annotators = [f"a{i}" for i in range(draw(st.integers(1, 4)))] + [ALL_ANNOTATORS]
-    segments = [f"s{i:02d}" for i in range(draw(st.integers(3, 15)))]
+    # ids that str.splitlines would split, so rows must reach the reader whole
+    breaks = st.sampled_from(["", "\x85", "\u2028"])
+    segments = [f"s{i:02d}" + draw(breaks) for i in range(draw(st.integers(3, 15)))]
     with_da = draw(st.booleans())
     rows = []
     for sid in segments:
@@ -86,10 +88,10 @@ def _all_row(sid: str, hter: float) -> SegmentScores:
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (_all_row("s3", math.nan), "NaN score"),
-        (_all_row("s0", 0.2), "^duplicate row for segment 's0', annotator 'ALL'$"),
+        (_all_row("s3", math.nan), "^scores: line 5: non-finite hter 'nan'$"),
+        (_all_row("s0", 0.2), "^scores: line 5: duplicate row for segment 's0', annotator 'ALL'$"),
         (replace(_all_row("s1", 0.2), annotator_id="a", mt_tokens=4),
-         "^mt_tokens 4 for segment 's1' differs from 3 on an earlier row$"),
+         "^scores: line 5: mt_tokens 4 for segment 's1' differs from 3 on an earlier row$"),
     ],
     ids=["nan", "duplicate", "mt_tokens"],
 )

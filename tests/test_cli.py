@@ -366,6 +366,41 @@ def test_report_contains_all_sections(fixture_paths, tmp_path):
         assert (out_dir / name).exists(), name
 
 
+def _tsv(path: Path) -> list[dict[str, str]]:
+    """A TSV file's rows as dicts of their raw cells."""
+    header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
+    return [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
+
+
+def _of(rows: list[dict[str, str]], annotator: str) -> list[dict[str, str]]:
+    """One annotator's rows of a report table, without the annotator cell."""
+    return [{k: v for k, v in r.items() if k != "annotator"} for r in rows if r["annotator"] == annotator]
+
+
+def test_report_tables_equal_the_commands_on_its_scores(tmp_path):
+    seeded = Path(__file__).parent / "golden" / "seeded"
+    report = tmp_path / "report"
+    corpus = ["--segments", str(seeded / "segments.tsv"), "--sessions", str(seeded / "sessions.tsv")]
+    assert main(["report", *corpus, "--out-dir", str(report)]) == 0
+    scores = ["--scores", str(report / "scores.tsv")]
+    ranking, williams = _tsv(report / "ranking.tsv"), _tsv(report / "williams.tsv")
+    annotators = list(dict.fromkeys(r["annotator"] for r in ranking))
+    assert annotators == ["a1", "a2", "a3", "ALL"]
+    for annotator in annotators:
+        out = tmp_path / f"rank_{annotator}.tsv"
+        assert main(["rank-eval", *scores, "--annotator", annotator, "--out", str(out)]) == 0
+        assert _tsv(out) == _of(ranking, annotator)
+        assert _tsv(out.with_name(out.name + ".williams.tsv")) == _of(williams, annotator)
+    assert main(["loo", *scores, "--out", str(tmp_path / "loo.tsv")]) == 0
+    assert _tsv(tmp_path / "loo.tsv") == _tsv(report / "loo.tsv")
+    max_cut = min(500, len({r["segment_id"] for r in _tsv(report / "scores.tsv")}))
+    cuts = ["--max", str(max_cut), "--step", str(min(50, max_cut))]
+    for side in ("best", "worst"):
+        out = tmp_path / f"tails_{side}.tsv"
+        assert main(["tails", *scores, "--side", side, *cuts, "--out", str(out)]) == 0
+        assert _tsv(out) == _tsv(report / f"tails_{side}.tsv")
+
+
 def test_report_without_da_notes_omission(tmp_path):
     # every metric column must vary across segments or Spearman is undefined
     segments = tmp_path / "segments.tsv"
@@ -408,6 +443,19 @@ def test_report_rerun_is_byte_identical(fixture_paths, tmp_path):
     assert first_files == second_files
     for name in first_files:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_undecodable_byte_in_segments_exits_1_naming_its_line(tmp_path, fixture_paths, capsys):
+    lines = fixture_paths[0].read_bytes().split(b"\n")
+    lines[2] = lines[2][:5] + b"\xff" + lines[2][5:]
+    segments = tmp_path / "segments.tsv"
+    segments.write_bytes(b"\n".join(lines))
+    out = tmp_path / "scores.tsv"
+    code = main(["score", "--segments", str(segments), "--sessions", str(fixture_paths[1]), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: segments: line 3: 'utf-8' codec can't decode byte 0xff in position 5")
+    assert not out.exists()
 
 
 def test_missing_input_file_is_input_error(tmp_path, capsys):

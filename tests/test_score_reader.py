@@ -77,7 +77,7 @@ def _same_outcome(path: Path) -> None:
 # valid files
 
 # Ids hold the characters that are escaped on disk, and non-ASCII ones.
-_id = st.text(alphabet="as1\\\t\n\ré", min_size=1, max_size=4)
+_id = st.text(alphabet="as1\\\t\n\ré\x85\u2028", min_size=1, max_size=4)
 # Each value with spellings that `float` reads alike, so the reader must parse
 # every cell as `read_tsv` does; few values, so ties are common.
 _cell = st.sampled_from(
@@ -263,6 +263,22 @@ def test_first_fault_in_file_order_is_named(scratch):
 def test_undecodable_byte_raises_as_the_oracle(scratch, at):
     data = SEEDED.read_bytes()
     scratch.write_bytes(data[:at] + b"\xff" + data[at:])
-    with pytest.raises(UnicodeDecodeError):
+    line = data[:at].count(b"\n") + 1
+    with pytest.raises(CorpusError, match=f"^scores: line {line}: 'utf-8' codec can't decode byte 0xff"):
         ScoreViews.read(scratch)
     _same_outcome(scratch)
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, corpus._CHUNK_BYTES])
+def test_undecodable_byte_does_not_hide_an_earlier_duplicate(scratch, chunk_bytes):
+    # the seeded rows under 27 sets of segment ids: one default chunk of ~208 KB
+    header, *rows = _SEEDED_LINES
+    lines = [header] + [f"c{k}{row}" for k in range(27) for row in rows]
+    data = "".join(line + "\n" for line in lines[:3] + lines[2:]).encode()
+    assert 200_000 < len(data) < corpus._CHUNK_BYTES
+    scratch.write_bytes(data[:-100] + b"\xff" + data[-100:])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_CHUNK_BYTES", chunk_bytes)
+        _same_outcome(scratch)
+        with pytest.raises(CorpusError, match="^scores: line 4: duplicate row for segment 'c0s"):
+            ScoreViews.read(scratch)

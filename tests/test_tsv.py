@@ -9,17 +9,19 @@ import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pe_rank import corpus
-from pe_rank.analysis import ScoreViews
+from pe_rank.analysis import FLOAT_FIELDS, ScoreViews
 from pe_rank.cli import main, read_scores, write_scores
-from pe_rank.corpus import CorpusError, PESession, Segment, load_corpus, read_tsv
+from pe_rank.corpus import ALL_ANNOTATORS, CorpusError, PESession, Segment, load_corpus, read_tsv
 from pe_rank.taskmetrics import SegmentScores
 
 from oracles import row_read_tsv
 
+SEEDED_SCORES = Path(__file__).parent / "golden" / "seeded" / "expected" / "scores.tsv"
 SEG_HEADER = "id\tsystem_id\tsource\tmt\treference\tda"
 SESS_HEADER = "segment_id\tannotator_id\tpe_text\tpe_time_sec\tkeystrokes"
 
@@ -70,6 +72,22 @@ def test_scores_round_trip_is_exact(rows):
         write_scores(rows, path)
         # repr tells -0.0 from 0.0, which == does not
         assert list(map(repr, read_scores(path))) == list(map(repr, rows))
+
+
+def test_numpy_floats_round_trip_bit_for_bit(tmp_path):
+    rows = read_scores(SEEDED_SCORES)
+    numpy_rows = [
+        replace(r, **{f: np.float64(v) for f in FLOAT_FIELDS if (v := getattr(r, f)) is not None})
+        for r in rows
+    ]
+    path = tmp_path / "scores.tsv"
+    write_scores(numpy_rows, path)
+    assert list(map(repr, read_scores(path))) == list(map(repr, rows))
+    views, expected = ScoreViews(numpy_rows), ScoreViews.read(SEEDED_SCORES)
+    for annotator in expected.annotators + [ALL_ANNOTATORS]:
+        for field in FLOAT_FIELDS:
+            got = views.column(annotator, field, optional=True)
+            assert got.tobytes() == expected.column(annotator, field, optional=True).tobytes()
 
 
 def _crlf(src: Path, dst: Path) -> Path:
@@ -132,6 +150,9 @@ def test_header_rules(header, message):
         (["s1\tsys\tsrc\tmt\tref\tnan"], [], "segments: line 2: non-finite da 'nan'"),
         (["s1\tsys\tsrc\tmt\tref\t"], ["s1\tA\tpe\t-1.0\t3"],
          "sessions: line 2: pe_time_sec '-1.0' below minimum 0.0"),
+        # no UTF-8 file holds a lone surrogate, so no line given in memory may
+        (["s1\tsys\tsrc\tmt\tref\t", "s2\tsys\tsrc\tmt\ud800\tref\t"], [],
+         "^segments: line 3: 'utf-8' codec can't decode byte 0xed in position 13"),
     ],
 )
 def test_row_rejections_name_the_line(seg_rows, sess_rows, message):
