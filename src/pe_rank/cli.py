@@ -5,21 +5,24 @@ Commands (scoring lives in `taskmetrics`, every table in `analysis`)
   rank-eval  Spearman/SATRA table for one annotator view, with Williams flags
   loo        leave-one-out table: each annotator against the others' mean PETpW
   tails      overlap between the gold tail and each metric's tail, per cut
-  report     everything above plus weighted stats, clusters, and scatter data;
-             every table is built before the first file is written
+  report     everything above plus weighted stats, clusters, and scatter data
 
 All outputs are plain TSV/CSV/JSON, byte-identical across reruns on the same
-inputs. Exit codes: 0 success, 1 input error, 2 internal invariant violation.
+inputs, and written all or none: a run that exits 1 or 2 leaves them as they
+were. Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .analysis import (
     ScoreViews,
@@ -47,11 +50,31 @@ _GAPS_SHOWN = 3
 
 
 def write_scores(rows: Sequence[SegmentScores], path: str | Path) -> None:
-    _write_tsv(Path(path), SCORES_HEADER, (vars(r) for r in rows))
+    _write_all({Path(path): format_tsv(SCORES_HEADER, map(vars, rows))})
 
 
-def _write_tsv(path: Path, header: Sequence[str], rows: Iterable[dict]) -> None:
-    path.write_text(format_tsv(header, rows), encoding="utf-8")
+def _write_all(files: dict[Path, str], make_dir: bool = False) -> None:
+    """Write each text to its path, or none: all are written into a temporary directory
+    inside the paths' one directory, then renamed onto them. `make_dir` creates that directory."""
+    if clash := [p for p in files if p.exists() and not p.is_file()]:  # a directory or a device
+        raise CliError(f"{clash[0]}: not a regular file")
+    directory = next(iter(files)).parent
+    made = [d for d in (directory, *directory.parents) if not d.exists()] if make_dir else []
+    try:
+        if made:
+            directory.mkdir(parents=True)
+        tmp = tempfile.mkdtemp(dir=directory, prefix=".pe-rank-")  # no rename crosses mounts
+        try:
+            for path, text in files.items():
+                Path(tmp, path.name).write_text(text, encoding="utf-8")
+            for path in files:
+                Path(tmp, path.name).replace(path)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
 
 
 def read_scores(path: str | Path) -> list[SegmentScores]:
@@ -94,66 +117,48 @@ def cmd_rank_eval(args: argparse.Namespace) -> None:
     views = ScoreViews.read(args.scores)
     table = build_rank_table(views, args.annotator, williams_alpha=args.williams_alpha)
     out = Path(args.out)
-    _write_tsv(out, _RANK_HEADER, table["rows"])
-    _write_tsv(out.with_name(out.name + ".williams.tsv"), _PAIR_HEADER, table["williams_pairs"])
+    williams = out.with_name(out.name + ".williams.tsv")
+    pairs = format_tsv(_PAIR_HEADER, table["williams_pairs"])
+    _write_all({out: format_tsv(_RANK_HEADER, table["rows"]), williams: pairs})
 
 
 def cmd_loo(args: argparse.Namespace) -> None:
     table = build_loo_table(ScoreViews.read(args.scores))
-    _write_tsv(Path(args.out), _LOO_HEADER, table["rows"])
+    _write_all({Path(args.out): format_tsv(_LOO_HEADER, table["rows"])})
 
 
 def cmd_tails(args: argparse.Namespace) -> None:
     table = build_tails(ScoreViews.read(args.scores), args.side, args.max, args.step)
-    _write_tsv(Path(args.out), _TAILS_HEADER, table["rows"])
+    _write_all({Path(args.out): format_tsv(_TAILS_HEADER, table["rows"])})
 
 
 def cmd_report(args: argparse.Namespace) -> None:
-    # the output directory is made only after every table is built, so a run
-    # that fails at any stage writes nothing
     corpus = stage("load", load_corpus, args.segments, args.sessions)
     _check_sessions(corpus)
     rows = stage("score", score_corpus, corpus)
     # the tables read the very text written as scores.tsv
     scores = format_tsv(SCORES_HEADER, map(vars, rows))
     report = build_report(ScoreViews.read([scores]), args.williams_alpha, args.ks_alpha)
-    scatter = stage("scatter", build_scatter, rows)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "scores.tsv").write_text(scores, encoding="utf-8")
-    _write_tsv(out_dir / "stats.tsv", _STATS_HEADER, report["stats_tables"])
-    ranking = report["ranking_table"]
-    for name, key, header in (
-        ("ranking.tsv", "rows", _RANK_HEADER),
-        ("williams.tsv", "williams_pairs", _PAIR_HEADER),
-    ):
-        _write_tsv(
-            out_dir / name,
-            ("annotator",) + header,
-            ({"annotator": a, **r} for a, table in ranking.items() for r in table[key]),
-        )
-    _write_tsv(out_dir / "loo.tsv", _LOO_HEADER, report["loo_table"])
-    for side, side_rows in report["tails"].items():
-        _write_tsv(out_dir / f"tails_{side}.tsv", _TAILS_HEADER, side_rows)
-    _write_tsv(
-        out_dir / "clusters.tsv",
-        ("cluster", "annotator"),
-        (
-            {"cluster": idx, "annotator": annotator}
-            for idx, cluster in enumerate(report["clusters"])
-            for annotator in cluster
-        ),
-    )
-    with open(out_dir / "scatter.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("segment_id", "annotator", "metric_name", "metric_value", "petpw"))
-        for sid, annotator, metric, value, gold in scatter:
-            writer.writerow((sid, annotator, metric, repr(value), repr(gold)))
+    scatter = io.StringIO()
+    writer = csv.writer(scatter, lineterminator="\n")
+    writer.writerow(("segment_id", "annotator", "metric_name", "metric_value", "petpw"))
+    writer.writerows((*k, repr(v), repr(g)) for *k, v, g in stage("scatter", build_scatter, rows))
     report["scatter_csv"] = "scatter.csv"
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    tagged = {k: [{"annotator": a, **r} for a, t in report["ranking_table"].items() for r in t[k]]
+              for k in ("rows", "williams_pairs")}
+    clusters = [dict(cluster=i, annotator=a) for i, c in enumerate(report["clusters"]) for a in c]
+    files = {
+        "scores.tsv": scores,
+        "stats.tsv": format_tsv(_STATS_HEADER, report["stats_tables"]),
+        "ranking.tsv": format_tsv(("annotator",) + _RANK_HEADER, tagged["rows"]),
+        "williams.tsv": format_tsv(("annotator",) + _PAIR_HEADER, tagged["williams_pairs"]),
+        "loo.tsv": format_tsv(_LOO_HEADER, report["loo_table"]),
+        **{f"tails_{s}.tsv": format_tsv(_TAILS_HEADER, t) for s, t in report["tails"].items()},
+        "clusters.tsv": format_tsv(("cluster", "annotator"), clusters),
+        "scatter.csv": scatter.getvalue(),
+        "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
+    }
+    _write_all({Path(args.out_dir, name): text for name, text in files.items()}, make_dir=True)
 
 
 def alpha(text: str) -> float:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
+import os
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -685,6 +687,8 @@ _RUNS = [  # (command, the input file that is damaged)
     (("tails", "--side", "worst", "--max", "2", "--step", "1"), "scores"),
     (("score",), "segments"),
     (("score",), "sessions"),
+    (("report",), "segments"),
+    (("report",), "sessions"),
 ]
 
 
@@ -702,11 +706,162 @@ def test_damaged_inputs_exit_0_or_1(fuzz_dir, run, data):
         if name == damaged:
             lines = data.draw(mutated_lines(lines, cell_pool(lines, _INPUTS[name][1])))
         paths[name].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    if command == ("score",):
+    if command[0] in ("score", "report"):
         inputs = ["--segments", str(paths["segments"]), "--sessions", str(paths["sessions"])]
     else:
         inputs = ["--scores", str(paths["scores"])]
+    out = fuzz_dir / "out"  # out.tsv (with out.tsv.williams.tsv), or the report directory
+    out.mkdir(exist_ok=True)
+    before = _tree(out)
+    outputs = ["--out-dir", str(out / "report")] if command == ("report",) else ["--out", str(out / "out.tsv")]
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        code = main([*command, *inputs, "--out", str(fuzz_dir / "out.tsv")])
+        code = main([*command, *inputs, *outputs])
     assert code in (0, 1), stderr.getvalue()  # an exception main() lets out fails the test too
+    if code == 1:
+        assert _tree(out) == before, stderr.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# outputs are written all or none
+
+
+_REPORT_FILES = (
+    "scores.tsv",
+    "stats.tsv",
+    "ranking.tsv",
+    "williams.tsv",
+    "loo.tsv",
+    "tails_best.tsv",
+    "tails_worst.tsv",
+    "clusters.tsv",
+    "scatter.csv",
+    "report.json",
+)
+# (command, the name of one of its output files)
+_OUTPUTS = [
+    ("score", "out.tsv"),
+    ("rank-eval", "out.tsv"),
+    ("rank-eval", "out.tsv.williams.tsv"),
+    ("loo", "out.tsv"),
+    ("tails", "out.tsv"),
+    *(("report", name) for name in _REPORT_FILES),
+]
+
+
+def _tree(path: Path):
+    """What is at `path`: None, a symlink's target, a file's bytes, or a
+    directory's {name: tree}, hidden names included."""
+    if path.is_symlink():
+        return ("symlink", os.readlink(path))
+    if path.is_dir():
+        return {p.name: _tree(p) for p in path.iterdir()}
+    return path.read_bytes() if path.exists() else None
+
+
+def _argv(command: str, out_dir: Path) -> list[str]:
+    """`command` on the fixtures, writing `out_dir / "out.tsv"`, or into `out_dir` for report."""
+    corpus = ["--segments", str(_FIXTURES / "segments.tsv"), "--sessions", str(_FIXTURES / "sessions.tsv")]
+    scores = ["--scores", str(_INPUTS["scores"][0])]
+    out = ["--out", str(out_dir / "out.tsv")]
+    return {
+        "score": ["score", *corpus, *out],
+        "rank-eval": ["rank-eval", *scores, "--annotator", "ALL", *out],
+        "loo": ["loo", *scores, *out],
+        "tails": ["tails", *scores, "--side", "best", "--max", "2", "--step", "1", *out],
+        "report": ["report", *corpus, "--out-dir", str(out_dir)],
+    }[command]
+
+
+def _earlier_run(out_dir: Path, command: str) -> None:
+    """Make `out_dir` hold a user's own file and an earlier run's outputs of `command`."""
+    out_dir.mkdir(parents=True)
+    (out_dir / "notes.txt").write_text("the user's own file\n", encoding="utf-8")
+    names = _REPORT_FILES if command == "report" else ("out.tsv", "out.tsv.williams.tsv")
+    for name in names:
+        (out_dir / name).write_text(f"{name} of an earlier run\n", encoding="utf-8")
+
+
+def _fill_disk_at(monkeypatch, name: str) -> None:
+    """Make every `Path.write_text` of a file called `name` write half its text
+    and raise ENOSPC, as a full disk would."""
+    write_text = Path.write_text
+
+    def full_write_text(self, data, *args, **kwargs):
+        if self.name != name:
+            return write_text(self, data, *args, **kwargs)
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_text", full_write_text)
+
+
+@pytest.mark.parametrize("command, name", _OUTPUTS)
+def test_failed_write_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch, capsys, command, name):
+    out_dir = tmp_path / "out"
+    _earlier_run(out_dir, command)
+    before = _tree(out_dir)
+    _fill_disk_at(monkeypatch, name)
+    assert main(_argv(command, out_dir)) == 1
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert _tree(out_dir) == before
+
+
+@pytest.mark.parametrize("name", _REPORT_FILES)
+def test_failed_report_write_removes_the_directories_it_made(tmp_path, monkeypatch, capsys, name):
+    _fill_disk_at(monkeypatch, name)
+    assert main(_argv("report", tmp_path / "made" / "report")) == 1
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert _tree(tmp_path) == {}
+
+
+@pytest.mark.parametrize(
+    "command, name, kind",
+    [
+        ("report", "loo.tsv", "directory"),
+        ("rank-eval", "out.tsv.williams.tsv", "directory"),
+        ("score", "out.tsv", "device"),
+    ],
+)
+def test_output_that_is_not_a_regular_file_stops_every_write(tmp_path, capsys, command, name, kind):
+    out_dir = tmp_path / "out"
+    _earlier_run(out_dir, command)
+    (out_dir / name).unlink()
+    if kind == "directory":
+        (out_dir / name).mkdir()
+    else:
+        (out_dir / name).symlink_to(os.devnull)
+    before = _tree(out_dir)
+    assert main(_argv(command, out_dir)) == 1
+    assert capsys.readouterr().err == f"error: {out_dir / name}: not a regular file\n"
+    assert _tree(out_dir) == before
+
+
+@pytest.mark.parametrize("command", ["score", "rank-eval", "loo", "tails", "report"])
+def test_outputs_have_the_mode_a_plain_write_gives(tmp_path, command):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    umask = os.umask(0o022)
+    try:
+        assert main(_argv(command, out_dir)) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out_dir.iterdir()}
+    assert modes and set(modes.values()) == {0o644}, modes
+
+
+def test_single_command_does_not_make_its_directory(tmp_path, capsys):
+    assert main(_argv("score", tmp_path / "missing")) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert _tree(tmp_path) == {}
+
+
+def test_report_rerun_in_place_is_byte_identical_and_keeps_other_files(tmp_path):
+    out_dir = tmp_path / "report"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("the user's own file\n", encoding="utf-8")
+    assert main(_argv("report", out_dir)) == 0
+    first = _tree(out_dir)
+    assert set(first) == {*_REPORT_FILES, "notes.txt"}
+    assert main(_argv("report", out_dir)) == 0
+    assert _tree(out_dir) == first

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 from dataclasses import fields
+from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -57,3 +61,19 @@ def test_spearman_is_symmetric_to_the_bit(pairs):
     except ValueError:
         return
     assert spearman(y, x) == forward
+
+
+def _traced_targets() -> tuple[tuple[str, str], ...]:
+    """The (module, function) pairs the benchmark's tracer wraps, read from its source."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+@pytest.mark.parametrize("module, name", _traced_targets())
+def test_every_traced_name_is_bound(module, name):
+    # the tracer skips a name it cannot find, and the benchmark then drops that
+    # name's metrics without failing; this makes the loss fail here instead
+    assert hasattr(importlib.import_module(f"pe_rank.{module}"), name), f"pe_rank.{module}.{name}"
