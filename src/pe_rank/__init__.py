@@ -9,16 +9,11 @@ from .corpus import (
     ValidationWarning,
     load_corpus,
     mt_char_count,
-    serialize_segments,
-    serialize_sessions,
     tokenize,
     validate_corpus,
-    write_corpus,
 )
 from .rankeval import (
-    METRIC_POLARITY,
     Polarity,
-    delta_avg,
     effort_oriented,
     rank_by,
     satra,
@@ -51,7 +46,6 @@ __all__ = [
     "Corpus",
     "CorpusError",
     "KsResult",
-    "METRIC_POLARITY",
     "MeteorResult",
     "PESession",
     "Polarity",
@@ -64,7 +58,6 @@ __all__ = [
     "all_view",
     "bleu",
     "cluster_annotators",
-    "delta_avg",
     "effort_oriented",
     "keys_per_char",
     "ks_two_sample",
@@ -76,8 +69,6 @@ __all__ = [
     "regularized_incomplete_beta",
     "satra",
     "score_segment",
-    "serialize_segments",
-    "serialize_sessions",
     "spearman",
     "student_t_sf",
     "tail_overlap",
@@ -87,5 +78,4 @@ __all__ = [
     "weighted_mean_std",
     "williams_test",
     "word_edit_distance",
-    "write_corpus",
 ]

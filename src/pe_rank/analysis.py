@@ -111,7 +111,6 @@ class ScoreViews:
             covered = np.zeros(n, dtype=bool)
             covered[keys[rows] - code * n] = True
             self.gaps[annotator] = [self.segment_ids[i] for i in np.flatnonzero(~covered)]
-        self._columns: dict[tuple[str, str], np.ndarray] = {}
 
     def column(self, annotator: str, field: str, optional: bool = False) -> np.ndarray:
         """One view's column in segment id order; a missing value raises unless `optional`."""
@@ -137,10 +136,7 @@ class ScoreViews:
         view's gaps out, `mt_tokens` is the one column of every segment."""
         if field == "mt_tokens":
             return self._mt_tokens
-        key = (annotator, field)
-        if key not in self._columns:
-            self._columns[key] = self._floats[field][self._rows[annotator]]
-        return self._columns[key]
+        return self._floats[field][self._rows[annotator]]
 
 
 def _metric_vectors(
@@ -391,12 +387,9 @@ def build_report(views: ScoreViews, williams_alpha: float, ks_alpha: float) -> d
         table = stage("tails", build_tails, views, side, max_cut, step)
         tails[side] = table["rows"]
         notes.extend(f"tails[{side}]: {n}" for n in table["notes"])
-    if len(views.annotators) >= 2:
-        petpw = stage("clusters", petpw_by_annotator, views)
-        clusters = stage("clusters", cluster_annotators, petpw, ks_alpha)
-    else:
-        clusters = []
-        notes.append("clusters: fewer than 2 annotators; clustering skipped")
+    # loo has already refused a view with fewer than 2 annotators
+    petpw = stage("clusters", petpw_by_annotator, views)
+    clusters = stage("clusters", cluster_annotators, petpw, ks_alpha)
     return {
         "stats_tables": stats_table["rows"],
         "ranking_table": ranking,

@@ -468,16 +468,3 @@ def validate_corpus(corpus: Corpus) -> list[ValidationWarning]:
             )
     return warnings
 
-
-def serialize_segments(corpus: Corpus) -> str:
-    """Render segments as TSV text; inverse of the loader, field-exact."""
-    return format_tsv([f.name for f in fields(Segment)], map(vars, corpus.segments))
-
-
-def serialize_sessions(corpus: Corpus) -> str:
-    return format_tsv([f.name for f in fields(PESession)], map(vars, corpus.sessions))
-
-
-def write_corpus(corpus: Corpus, segments_path: str | Path, sessions_path: str | Path) -> None:
-    Path(segments_path).write_text(serialize_segments(corpus), encoding="utf-8")
-    Path(sessions_path).write_text(serialize_sessions(corpus), encoding="utf-8")

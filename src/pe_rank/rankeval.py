@@ -63,9 +63,6 @@ METRICS: tuple[Metric, ...] = (
 GOLD_METRIC = next(m for m in METRICS if m.kind is MetricKind.GOLD)
 DA_METRIC = next(m for m in METRICS if m.kind is MetricKind.DA)
 
-# Effort orientation of each metric, by name.
-METRIC_POLARITY: dict[str, Polarity] = {m.name: m.polarity for m in METRICS}
-
 
 def effort_oriented(values: Sequence[float], polarity: Polarity) -> list[float]:
     """Map values so that larger always means more post-editing effort."""
@@ -165,31 +162,6 @@ def satra(times: Sequence[float] | np.ndarray, lengths: Sequence[int] | np.ndarr
     if not (np.isfinite(ratios).all() and math.isfinite(score)):
         raise ValueError("degenerate times: a time-per-word ratio over- or underflows")
     return score
-
-
-def delta_avg(
-    ranking: Sequence[str], gold: Mapping[str, float], quantiles: int
-) -> float:
-    """Quantile-based ranking quality against a gold score.
-
-    The ranking is cut into `quantiles` consecutive groups (remainder rows
-    join the last group); the score averages, over every head made of the
-    first k groups, the difference between the head's mean gold value and the
-    overall mean.
-    """
-    n = len(ranking)
-    if quantiles < 2:
-        raise ValueError("need at least 2 quantiles")
-    if quantiles > n:
-        raise ValueError(f"{quantiles} quantiles exceed {n} segments")
-    missing = [sid for sid in ranking if sid not in gold]
-    if missing:
-        raise ValueError(f"no gold value for segment '{missing[0]}'")
-    heads = np.arange(1, quantiles) * (n // quantiles)
-    with np.errstate(all="ignore"):  # an overflow gives inf or NaN, as Python floats do
-        prefix = _running_sums([gold[sid] for sid in ranking])
-        gains = prefix[heads] / heads - prefix[n] / n
-        return float(_running_sums(gains)[-1] / (quantiles - 1))
 
 
 def tail_overlap(

@@ -9,7 +9,7 @@ breadth-first search over shift sequences, exhaustive alignment enumeration,
 plain rank-then-Pearson arithmetic, the leave-one-out mean as Python's `sum`
 adds it (`loo_mean`), and the loops and sort key that ranked and scored
 rankings before numpy did (`tie_loop_fractional_ranks`, `signed_key_ranking`,
-`satra_loop`, `delta_avg_loop`), a TSV file parsed line by line and cell by
+`satra_loop`), a TSV file parsed line by line and cell by
 cell (`row_read_tsv`), and a scores file read through it into per-annotator
 columns (`row_score_views`). None of it shares code with the package so a
 bug cannot hide on both sides of a comparison, except
@@ -394,20 +394,6 @@ def satra_loop(times: Sequence[float], lengths: Sequence[int]) -> float:
             raise ValueError("degenerate times: zero-time suffix")
         acc += (time_prefix / len_prefix) / (time_suffix / len_suffix)
     return acc / (n - 1)
-
-
-def delta_avg_loop(ranking: Sequence[str], gold: dict[str, float], quantiles: int) -> float:
-    """DeltaAVG with every head mean added from scratch (inputs assumed valid)."""
-    n = len(ranking)
-    values = [gold[sid] for sid in ranking]
-    overall = _added(values) / n
-    base = n // quantiles
-    acc = 0.0
-    head = 0
-    for _ in range(quantiles - 1):
-        head += base
-        acc += _added(values[:head]) / head - overall
-    return acc / (quantiles - 1)
 
 
 def brute_force_min_satra(times: Sequence[float], lengths: Sequence[int]) -> float:

@@ -507,6 +507,20 @@ def test_failed_report_writes_nothing(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
+def test_report_with_one_annotator_stops_at_loo(tmp_path, capsys):
+    seeded = Path(__file__).parent / "golden" / "seeded"
+    sessions = tmp_path / "sessions.tsv"
+    lines = (seeded / "sessions.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    sessions.write_text("".join(lines[:1] + [x for x in lines[1:] if x.split("\t")[1] == "a1"]),
+                        encoding="utf-8")
+    out_dir = tmp_path / "report"
+    code = main(["report", "--segments", str(seeded / "segments.tsv"), "--sessions", str(sessions),
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: loo: leave-one-out requires at least 2 annotators\n"
+    assert not out_dir.exists()
+
+
 def _stops_on_missing_sessions_before_scoring(tmp_path, monkeypatch, capsys, argv):
     import pe_rank.cli as cli
 

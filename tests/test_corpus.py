@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,10 +11,9 @@ from pe_rank.corpus import (
     CorpusError,
     PESession,
     Segment,
+    format_tsv,
     load_corpus,
     mt_char_count,
-    serialize_segments,
-    serialize_sessions,
     tokenize,
     validate_corpus,
 )
@@ -212,11 +212,15 @@ def corpora(draw) -> Corpus:
     )
 
 
+def _tsv(cls: type, rows) -> str:
+    return format_tsv([f.name for f in fields(cls)], map(vars, rows))
+
+
 @given(corpora())
 def test_serialize_load_round_trip(corpus):
     reloaded = load_corpus(
-        io.StringIO(serialize_segments(corpus)),
-        io.StringIO(serialize_sessions(corpus)),
+        io.StringIO(_tsv(Segment, corpus.segments)),
+        io.StringIO(_tsv(PESession, corpus.sessions)),
     )
     assert reloaded == corpus
 
@@ -244,11 +248,9 @@ def test_round_trip_with_embedded_tabs_and_newlines():
         ),
         annotators=frozenset({"A"}),
     )
-    text = serialize_segments(corpus)
+    text = _tsv(Segment, corpus.segments)
     assert "\t".join(text.split("\n")[1].split("\t")[:1]) == "s1"
-    reloaded = load_corpus(
-        io.StringIO(text), io.StringIO(serialize_sessions(corpus))
-    )
+    reloaded = load_corpus(io.StringIO(text), io.StringIO(_tsv(PESession, corpus.sessions)))
     assert reloaded == corpus
 
 

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
+import re
+import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,7 +18,7 @@ from hypothesis import strategies as st
 
 import pe_rank
 from pe_rank.cli import SCORES_HEADER
-from pe_rank.rankeval import GOLD_METRIC, METRIC_POLARITY, METRICS, Polarity, spearman
+from pe_rank.rankeval import GOLD_METRIC, METRICS, Polarity, spearman
 from pe_rank.taskmetrics import SegmentScores
 
 MORE = Polarity.HIGHER_IS_MORE_EFFORT
@@ -25,8 +30,34 @@ def test_every_exported_name_resolves():
         assert getattr(pe_rank, name) is not None, name
 
 
+def test_exports_are_exactly_the_public_names():
+    # adding or removing an export must change this list too
+    assert pe_rank.__all__ == [
+        "Corpus", "CorpusError", "KsResult", "MeteorResult", "PESession", "Polarity",
+        "Segment", "SegmentScores", "TerResult", "TokenList", "ValidationWarning",
+        "WilliamsResult", "all_view", "bleu", "cluster_annotators", "effort_oriented",
+        "keys_per_char", "ks_two_sample", "load_corpus", "meteor_lite", "mt_char_count",
+        "petpw", "rank_by", "regularized_incomplete_beta", "satra", "score_segment",
+        "spearman", "student_t_sf", "tail_overlap", "ter", "tokenize", "validate_corpus",
+        "weighted_mean_std", "williams_test", "word_edit_distance",
+    ]
+
+
+def test_readme_library_example_runs_as_written(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library use\n\n```python\n(.*?)^```", readme, re.M | re.S)[1]
+    seeded = root / "tests" / "golden" / "seeded"
+    for name in ("segments.tsv", "sessions.tsv"):
+        shutil.copy(seeded / name, tmp_path / name)
+    env = {**os.environ, "PYTHONPATH": str(Path(pe_rank.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_metric_polarity_keeps_its_names_order_and_orientation():
-    assert list(METRIC_POLARITY.items()) == [
+    assert [(m.name, m.polarity) for m in METRICS] == [
         ("TER", MORE),
         ("BLEU", LESS),
         ("METEOR", LESS),
@@ -37,7 +68,6 @@ def test_metric_polarity_keeps_its_names_order_and_orientation():
         ("KEYS_PER_CHAR", MORE),
         ("PETPW", MORE),
     ]
-    assert pe_rank.METRIC_POLARITY is METRIC_POLARITY
 
 
 def test_tables_derived_from_the_registry():

@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 
 from pe_rank.rankeval import (
     Polarity,
-    delta_avg,
     effort_order,
     fractional_ranks,
     rank_by,
@@ -19,7 +18,6 @@ from pe_rank.rankeval import (
 )
 
 from oracles import (
-    delta_avg_loop,
     satra_directly,
     satra_loop,
     signed_key_ranking,
@@ -160,51 +158,6 @@ def test_satra_matches_direct_formula(times, length):
 
 
 # ---------------------------------------------------------------------------
-# delta_avg
-
-
-def test_delta_avg_perfect_two_quantiles():
-    gold = {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0}
-    assert delta_avg(["a", "b", "c", "d"], gold, 2) == pytest.approx(1.0)
-
-
-def test_delta_avg_constant_gold_is_zero():
-    gold = {"a": 2.0, "b": 2.0, "c": 2.0}
-    assert delta_avg(["a", "b", "c"], gold, 3) == pytest.approx(0.0)
-
-
-def test_delta_avg_two_segments():
-    gold = {"s1": 1.0, "s2": 2.0}
-    assert delta_avg(["s2", "s1"], gold, 2) == pytest.approx(0.5)
-
-
-def test_delta_avg_too_many_quantiles():
-    with pytest.raises(ValueError):
-        delta_avg(["a", "b"], {"a": 1.0, "b": 2.0}, 3)
-
-
-def test_delta_avg_remainder_goes_to_last_quantile():
-    gold = {f"s{i}": float(5 - i) for i in range(5)}
-    ranking = [f"s{i}" for i in range(5)]
-    # quantiles of size 2 and 3; single head of the first 2 rows
-    expected = (5 + 4) / 2 - 3.0
-    assert delta_avg(ranking, gold, 2) == pytest.approx(expected)
-
-
-def test_delta_avg_random_ranking_centers_on_zero():
-    rng = random.Random(97)
-    n = 40
-    gold = {f"s{i}": rng.random() for i in range(n)}
-    ids = list(gold)
-    acc = 0.0
-    trials = 2000
-    for _ in range(trials):
-        rng.shuffle(ids)
-        acc += delta_avg(ids, gold, 4)
-    assert abs(acc / trials) < 0.05
-
-
-# ---------------------------------------------------------------------------
 # tail_overlap
 
 
@@ -335,17 +288,3 @@ def test_satra_zero_time_suffix_at_any_split(times):
     for score in (satra, satra_loop):
         with pytest.raises(ValueError, match="degenerate times: zero-time suffix"):
             score(times, [1, 2, 3, 4, 5])
-
-
-@given(
-    st.lists(_TIME | st.floats(-1e6, 1e6), min_size=2, max_size=40),
-    st.data(),
-)
-def test_delta_avg_matches_loop_bit_for_bit(values, data):
-    quantiles = data.draw(st.integers(2, len(values)))
-    ids = [f"s{i}" for i in range(len(values))]
-    gold = dict(zip(ids, values))
-    ranking = data.draw(st.permutations(ids))
-    assert repr(delta_avg(ranking, gold, quantiles)) == repr(
-        delta_avg_loop(ranking, gold, quantiles)
-    )
