@@ -1,17 +1,18 @@
 """Analysis tables over score columns: rank-eval, leave-one-out, tails, stats.
 
-Every table builder takes the `ScoreViews` of the score rows, plus the
-annotator where it works on one view, and returns plain dicts and lists of
-Python values, ready to write. Bad input raises ValueError.
+Every table builder but `build_scatter`, which takes the score rows, takes
+their `ScoreViews`, plus the annotator where it works on one view, and returns
+plain dicts and lists of Python values, ready to write. Inside, each metric is
+a float64 column, effort-oriented once per view. Bad input raises ValueError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -141,16 +142,16 @@ class ScoreViews:
 
 def _metric_vectors(
     views: ScoreViews, annotator: str, metrics: Sequence[Metric]
-) -> tuple[dict[Metric, list[float]], list[str]]:
-    """Each metric's values over a view; only DA may be missing, and is noted."""
-    vectors: dict[Metric, list[float]] = {}
+) -> tuple[dict[Metric, np.ndarray], list[str]]:
+    """Each metric's effort-oriented values over a view; only DA may be missing, and is noted."""
+    vectors: dict[Metric, np.ndarray] = {}
     notes: list[str] = []
     for metric in metrics:
         values = views.column(annotator, metric.field, optional=metric is DA_METRIC)
         if np.isnan(values).any():
             notes.append(f"metric {metric.name} unavailable; rows omitted")
         else:
-            vectors[metric] = values.tolist()
+            vectors[metric] = effort_oriented(values, metric.polarity)
     return vectors, notes
 
 
@@ -159,13 +160,13 @@ def _metric_vectors(
 
 
 def _rho_satra(
-    metric: Metric, values: Sequence[float], gold: Sequence[float],
+    metric: Metric, oriented: np.ndarray, gold: np.ndarray,
     times: np.ndarray, lengths: np.ndarray, where: str = "",
 ) -> dict:
-    """The rho and SATRA cells of one metric's row: its values against the gold."""
+    """The rho and SATRA cells of one metric's row: its effort-oriented values against the gold."""
     try:
-        rho = spearman(effort_oriented(values, metric.polarity), gold)
-        order = effort_order(values, metric.polarity)
+        rho = spearman(oriented, gold)
+        order = effort_order(oriented)
         satra_score = satra(times[order], lengths[order])
     except ValueError as exc:
         raise ValueError(f"{where}metric {metric.name}: {exc}") from None
@@ -181,20 +182,19 @@ def build_rank_table(views: ScoreViews, annotator: str, williams_alpha: float = 
     Pairs whose Williams statistic is undefined (tiny n, perfect correlation)
     get null p-values instead of failing the whole table.
     """
-    gold = views.column(annotator, GOLD_METRIC.field).tolist()
+    gold = views.column(annotator, GOLD_METRIC.field)
     times = views.column(annotator, "pe_time_sec")
     lengths = views.column(annotator, "mt_tokens")
     vectors, notes = _metric_vectors(views, annotator, METRICS)
     cells = {m: _rho_satra(m, v, gold, times, lengths) for m, v in vectors.items()}
     rho = {m: c["rho"] for m, c in cells.items()}
-    oriented = {m: effort_oriented(v, m.polarity) for m, v in vectors.items()}
     ranked_metrics = [m for m in vectors if m is not GOLD_METRIC]
     best = max(ranked_metrics, key=lambda m: rho[m]) if ranked_metrics else None
 
     @functools.cache  # p_vs_best asks again for pairs the pair table computed
     def williams_pair(a: Metric, b: Metric) -> tuple[float | None, float | None]:
         try:
-            result = williams_test(spearman(oriented[a], oriented[b]), rho[a], rho[b], len(gold))
+            result = williams_test(spearman(vectors[a], vectors[b]), rho[a], rho[b], len(gold))
         except ValueError:
             return None, None
         return result.t_stat, result.p_one_tailed
@@ -223,59 +223,35 @@ def build_rank_table(views: ScoreViews, annotator: str, williams_alpha: float = 
 # leave-one-out
 
 
-@dataclass(frozen=True)
-class LOOGold:
-    """Effort gold for one held-out annotator: the others' mean PETpW."""
-
-    annotator_id: str
-    segment_ids: tuple[str, ...]
-    gold_petpw: tuple[float, ...]
-    gold_times: tuple[float, ...]
-
-
-def _loo_annotators(views: ScoreViews) -> list[str]:
-    if len(views.annotators) < 2:
+def check_loo(annotators: Collection[str]) -> None:
+    """Raise ValueError unless there are at least 2 annotators to hold out in turn."""
+    if len(annotators) < 2:
         raise ValueError("leave-one-out requires at least 2 annotators")
-    return views.annotators
 
 
-def _mean(columns: Sequence[np.ndarray]) -> tuple[float, ...]:
+def _mean(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Per-segment mean of the columns, summed in order from 0.0 as Python's
     `sum` does (np.sum would sum pairwise, which can differ in the last bit)."""
     total = np.zeros(len(columns[0]))
     for values in columns:
         total += values
-    return tuple((total / len(columns)).tolist())
-
-
-def loo_gold(views: ScoreViews, annotator: str) -> LOOGold:
-    """Per-segment mean PETpW and mean time of every *other* annotator."""
-    annotators = _loo_annotators(views)
-    if annotator not in annotators:
-        raise ValueError(f"unknown annotator '{annotator}'")
-    others = [a for a in annotators if a != annotator]
-    return LOOGold(
-        annotator_id=annotator,
-        segment_ids=tuple(views.segment_ids),
-        gold_petpw=_mean([views.column(a, GOLD_METRIC.field) for a in others]),
-        gold_times=_mean([views.column(a, "pe_time_sec") for a in others]),
-    )
+    return total / len(columns)
 
 
 def build_loo_table(views: ScoreViews) -> dict:
-    """Rho/SATRA of each annotator's metrics against the others' mean PETpW."""
+    """Rho/SATRA of each annotator's metrics against the others' mean PETpW and time."""
+    check_loo(views.annotators)
     table = []
     notes: list[str] = []
-    for annotator in _loo_annotators(views):
-        gold = loo_gold(views, annotator)
-        times = np.array(gold.gold_times)
+    for annotator in views.annotators:
+        others = [a for a in views.annotators if a != annotator]
+        gold = _mean([views.column(a, GOLD_METRIC.field) for a in others])
+        times = _mean([views.column(a, "pe_time_sec") for a in others])
         lengths = views.column(annotator, "mt_tokens")
         vectors, view_notes = _metric_vectors(views, annotator, [m for m in METRICS if m.loo])
         notes.extend(n for n in view_notes if n not in notes)
-        for metric, values in vectors.items():
-            cells = _rho_satra(
-                metric, values, gold.gold_petpw, times, lengths, f"annotator '{annotator}', "
-            )
+        for metric, oriented in vectors.items():
+            cells = _rho_satra(metric, oriented, gold, times, lengths, f"annotator '{annotator}', ")
             table.append({"annotator": annotator, "metric": metric.name, **cells})
     return {"rows": table, "notes": notes}
 
@@ -292,8 +268,7 @@ def build_tails(views: ScoreViews, side: str, max_cut: int, step: int) -> dict:
     """
     if side not in ("best", "worst"):
         raise ValueError(f"side must be 'best' or 'worst', got {side!r}")
-    gold = views.column(ALL_ANNOTATORS, GOLD_METRIC.field).tolist()
-    n = len(gold)
+    n = len(views.column(ALL_ANNOTATORS, GOLD_METRIC.field))  # a missing gold is named first
     if max_cut > n:
         raise ValueError(f"max cut {max_cut} exceeds {n} segments")
     if step < 1 or max_cut < 1:
@@ -302,15 +277,15 @@ def build_tails(views: ScoreViews, side: str, max_cut: int, step: int) -> dict:
         raise ValueError(f"step {step} exceeds max cut {max_cut}")
     cuts = list(range(step, max_cut + 1, step))
 
-    def ranking(values: Sequence[float], metric: Metric) -> list[int]:
-        ranked = effort_order(values, metric.polarity).tolist()
+    def ranking(oriented: np.ndarray) -> list[int]:
+        ranked = effort_order(oriented).tolist()
         return ranked[::-1] if side == "worst" else ranked
 
-    gold_rank = ranking(gold, GOLD_METRIC)
     vectors, notes = _metric_vectors(views, ALL_ANNOTATORS, METRICS)
+    gold_rank = ranking(vectors[GOLD_METRIC])
     out = []
-    for metric, values in vectors.items():
-        for cut, overlap in zip(cuts, tail_overlap(gold_rank, ranking(values, metric), cuts)):
+    for metric, oriented in vectors.items():
+        for cut, overlap in zip(cuts, tail_overlap(gold_rank, ranking(oriented), cuts)):
             out.append({"cut": cut, "metric": metric.name, "overlap": overlap})
     out.sort(key=lambda r: r["cut"])  # stable: metrics keep their order within a cut
     return {"rows": out, "notes": notes}
@@ -325,13 +300,13 @@ def build_stats_table(views: ScoreViews) -> dict:
     table = []
     notes: list[str] = []
     for annotator in views.annotators + [ALL_ANNOTATORS]:
-        weights = views.column(annotator, "mt_tokens").tolist()
+        weights = views.column(annotator, "mt_tokens")
         for metric in METRICS:
             values = views.column(annotator, metric.field, optional=True)
             if np.isnan(values).any():
                 notes.append(f"metric {metric.name} unavailable for '{annotator}'; rows omitted")
                 continue
-            mean, std = weighted_mean_std(values.tolist(), weights)
+            mean, std = weighted_mean_std(values, weights)
             table.append(
                 {"annotator": annotator, "metric": metric.name, "mean": mean, "std": std}
             )
@@ -353,8 +328,8 @@ def build_scatter(rows: Sequence[SegmentScores]) -> list[tuple[str, str, str, fl
     return out
 
 
-def petpw_by_annotator(views: ScoreViews) -> dict[str, list[float]]:
-    return {a: views.column(a, GOLD_METRIC.field).tolist() for a in views.annotators}
+def petpw_by_annotator(views: ScoreViews) -> dict[str, np.ndarray]:
+    return {a: views.column(a, GOLD_METRIC.field) for a in views.annotators}
 
 
 # ---------------------------------------------------------------------------

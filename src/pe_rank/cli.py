@@ -31,6 +31,7 @@ from .analysis import (
     build_report,
     build_scatter,
     build_tails,
+    check_loo,
     stage,
 )
 from .corpus import Corpus, CorpusError, format_tsv, load_corpus, read_tsv, validate_corpus
@@ -135,6 +136,8 @@ def cmd_tails(args: argparse.Namespace) -> None:
 def cmd_report(args: argparse.Namespace) -> None:
     corpus = stage("load", load_corpus, args.segments, args.sessions)
     _check_sessions(corpus)
+    if corpus.annotators:  # with none, rank-eval names the missing gold first
+        stage("loo", check_loo, corpus.annotators)
     rows = stage("score", score_corpus, corpus)
     # the tables read the very text written as scores.tsv
     scores = format_tsv(SCORES_HEADER, map(vars, rows))

@@ -64,16 +64,15 @@ GOLD_METRIC = next(m for m in METRICS if m.kind is MetricKind.GOLD)
 DA_METRIC = next(m for m in METRICS if m.kind is MetricKind.DA)
 
 
-def effort_oriented(values: Sequence[float], polarity: Polarity) -> list[float]:
-    """Map values so that larger always means more post-editing effort."""
-    if polarity is Polarity.HIGHER_IS_MORE_EFFORT:
-        return list(values)
-    return [-v for v in values]
+def effort_oriented(values: Sequence[float] | np.ndarray, polarity: Polarity) -> np.ndarray:
+    """The values as float64, mapped so that larger always means more post-editing effort."""
+    values = np.asarray(values, dtype=float)
+    return values if polarity is Polarity.HIGHER_IS_MORE_EFFORT else -values
 
 
-def effort_order(values: Sequence[float], polarity: Polarity) -> np.ndarray:
-    """Positions of `values` from least to most effort; ties keep position order."""
-    return np.argsort(_rankable(effort_oriented(values, polarity)), kind="stable")
+def effort_order(oriented: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Positions of effort-oriented values from least to most effort; ties keep position order."""
+    return np.argsort(_rankable(oriented), kind="stable")
 
 
 def rank_by(values: Mapping[str, float], polarity: Polarity) -> list[str]:
@@ -88,7 +87,8 @@ def rank_by(values: Mapping[str, float], polarity: Polarity) -> list[str]:
     for sid in ids:
         if math.isnan(values[sid]):
             raise ValueError(f"NaN value for segment '{sid}'")
-    return [ids[i] for i in effort_order([values[sid] for sid in ids], polarity).tolist()]
+    order = effort_order(effort_oriented([values[sid] for sid in ids], polarity))
+    return [ids[i] for i in order.tolist()]
 
 
 def _rankable(values: Sequence[float]) -> np.ndarray:

@@ -33,7 +33,7 @@ def weighted_mean_std(
     """Weighted mean and population-form weighted standard deviation."""
     if len(values) != len(weights):
         raise ValueError("values and weights must have equal length")
-    if not values:
+    if len(values) == 0:
         raise ValueError("empty input")
     w = np.asarray(weights, dtype=float)
     if (w < 0).any():

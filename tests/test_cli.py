@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pe_rank.analysis import ScoreViews, build_stats_table, loo_gold
+from pe_rank.analysis import ScoreViews, build_stats_table
 from pe_rank.cli import (
     build_loo_table,
     build_rank_table,
@@ -23,7 +23,7 @@ from pe_rank.cli import (
     write_scores,
 )
 from pe_rank.corpus import load_corpus
-from pe_rank.rankeval import spearman
+from pe_rank.rankeval import satra, spearman
 from pe_rank.taskmetrics import SegmentScores
 
 from mutations import cell_pool, mutated_lines
@@ -208,14 +208,28 @@ def test_rank_eval_rejects_reference_only_scores(tmp_path, capsys):
 # loo
 
 
+def _loo_petpw_cells(rows, annotator: str) -> dict:
+    table = build_loo_table(ScoreViews(rows))["rows"]
+    [cells] = [r for r in table if r["annotator"] == annotator and r["metric"] == "PETPW"]
+    return {"rho": cells["rho"], "satra": cells["satra"]}
+
+
+def _petpw_cells_against(view, gold: list[float], times: list[float]) -> dict:
+    """The PETPW row's cells when the view's own PETpW ranks the segments
+    against the given gold and times, all in segment id order."""
+    petpw = [r.petpw for r in view]
+    order = sorted(range(len(view)), key=petpw.__getitem__)  # stable, as every ranking
+    return {"rho": spearman(petpw, gold),
+            "satra": satra([times[i] for i in order], [view[i].mt_tokens for i in order])}
+
+
 def test_loo_gold_two_annotators_is_other_vector(fixture_paths):
     corpus = load_corpus(*fixture_paths)
     rows = score_corpus(corpus)
-    gold = loo_gold(ScoreViews(rows), "ANN0")
-    ann1 = {r.segment_id: r for r in rows if r.annotator_id == "ANN1"}
-    assert gold.annotator_id == "ANN0"
-    assert list(gold.gold_petpw) == [ann1[sid].petpw for sid in gold.segment_ids]
-    assert list(gold.gold_times) == [ann1[sid].pe_time_sec for sid in gold.segment_ids]
+    ann0, ann1 = ([r for r in sorted(rows, key=lambda r: r.segment_id) if r.annotator_id == a]
+                  for a in ("ANN0", "ANN1"))
+    gold, times = [r.petpw for r in ann1], [r.pe_time_sec for r in ann1]
+    assert _loo_petpw_cells(rows, "ANN0") == _petpw_cells_against(ann0, gold, times)
 
 
 def test_loo_gold_three_annotators_hand_means():
@@ -224,10 +238,9 @@ def test_loo_gold_three_annotators_hand_means():
     for annotator, ts in times.items():
         for i, t in enumerate(ts):
             rows.append(_row(f"s{i}", annotator, t / 4.0, L=4))
-    gold = loo_gold(ScoreViews(rows), "A")
-    assert gold.segment_ids == ("s0", "s1", "s2")
-    assert gold.gold_times == pytest.approx([10.0, 5.5, 8.5])
-    assert gold.gold_petpw == pytest.approx([2.5, 1.375, 2.125])
+    view = [r for r in rows if r.annotator_id == "A"]
+    expected = _petpw_cells_against(view, [2.5, 1.375, 2.125], [10.0, 5.5, 8.5])
+    assert _loo_petpw_cells(rows, "A") == expected
 
 
 def test_loo_identical_annotators_track_each_other_perfectly():
@@ -507,7 +520,13 @@ def test_failed_report_writes_nothing(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
-def test_report_with_one_annotator_stops_at_loo(tmp_path, capsys):
+def test_report_with_one_annotator_stops_at_loo(tmp_path, monkeypatch, capsys):
+    import pe_rank.cli as cli
+
+    def no_scoring(corpus):
+        raise AssertionError("scored a corpus with one annotator")
+
+    monkeypatch.setattr(cli, "score_corpus", no_scoring)
     seeded = Path(__file__).parent / "golden" / "seeded"
     sessions = tmp_path / "sessions.tsv"
     lines = (seeded / "sessions.tsv").read_text(encoding="utf-8").splitlines(keepends=True)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 from pe_rank.rankeval import (
     Polarity,
     effort_order,
+    effort_oriented,
     fractional_ranks,
     rank_by,
     satra,
@@ -221,8 +222,17 @@ def test_rank_by_matches_signed_sort_key(values, polarity):
 
 
 def test_effort_order_keeps_position_order_on_ties():
-    assert effort_order([0.5, -0.0, 0.5, 0.0], HIGHER).tolist() == [1, 3, 0, 2]
-    assert effort_order([0.5, -0.0, 0.5, 0.0], LOWER).tolist() == [0, 2, 1, 3]
+    values = [0.5, -0.0, 0.5, 0.0]
+    assert effort_order(effort_oriented(values, HIGHER)).tolist() == [1, 3, 0, 2]
+    assert effort_order(effort_oriented(values, LOWER)).tolist() == [0, 2, 1, 3]
+
+
+def test_effort_oriented_is_float64_and_negates_signed_zero():
+    higher = effort_oriented([0.0, 2], HIGHER)
+    lower = effort_oriented(np.array([0.0, 2.0]), LOWER)
+    assert higher.dtype == lower.dtype == np.float64
+    assert higher.tobytes() == np.array([0.0, 2.0]).tobytes()
+    assert lower.tobytes() == np.array([-0.0, -2.0]).tobytes()
 
 
 def test_spearman_rejects_nan():

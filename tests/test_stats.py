@@ -99,6 +99,12 @@ def test_weighted_single_value():
     assert weighted_mean_std([5.0], [2.0]) == (5.0, 0.0)
 
 
+def test_weighted_takes_arrays_as_it_takes_lists():
+    values, weights = [1.0, 2.0], [1.0, 1.0]
+    assert weighted_mean_std(values, weights) == (1.5, 0.5)
+    assert weighted_mean_std(np.array(values), np.array(weights)) == (1.5, 0.5)
+
+
 def test_weighted_all_zero_weights():
     with pytest.raises(ValueError, match="all-zero"):
         weighted_mean_std([1.0, 2.0], [0.0, 0.0])
