@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pe_rank import taskmetrics
 from pe_rank.corpus import Corpus, PESession, Segment
 from pe_rank.taskmetrics import (
     SegmentScores,
@@ -171,3 +175,15 @@ _SHARED_TER = Corpus(
 @example(_SHARED_TER)
 def test_score_corpus_matches_per_session_oracle(corpus):
     assert score_corpus(corpus) == score_corpus_per_session(corpus)
+
+
+# 8 parts is more than the strategy's segments: some parts are empty.
+@pytest.mark.parametrize("parts", [1, 2, 3, 8])
+@settings(max_examples=30)
+@given(corpus=_corpora())
+@example(corpus=_SHARED_TER)
+def test_score_corpus_in_parts_matches_per_session_oracle(parts, corpus):
+    with mock.patch.object(taskmetrics, "_part_count", lambda segments: parts):
+        assert score_corpus(corpus) == score_corpus_per_session(corpus)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
