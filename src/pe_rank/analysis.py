@@ -3,12 +3,12 @@
 Every table builder but `build_scatter`, which takes the score rows, takes
 their `ScoreViews`, plus the annotator where it works on one view, and returns
 plain dicts and lists of Python values, ready to write. Inside, each metric is
-a float64 column, effort-oriented once per view. Bad input raises ValueError.
+a float64 column, effort-oriented and ranked once per table. Bad input raises
+ValueError.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -22,10 +22,10 @@ from .rankeval import (
     GOLD_METRIC,
     METRICS,
     Metric,
-    effort_order,
     effort_oriented,
+    rank_correlation,
+    ranking,
     satra,
-    spearman,
     tail_overlap,
 )
 from .stats import cluster_annotators, weighted_mean_std, williams_test
@@ -140,18 +140,21 @@ class ScoreViews:
         return self._floats[field][self._rows[annotator]]
 
 
+Ranked = tuple[np.ndarray, np.ndarray]  # a column's `ranking`: its order and its ranks
+
+
 def _metric_vectors(
     views: ScoreViews, annotator: str, metrics: Sequence[Metric]
-) -> tuple[dict[Metric, np.ndarray], list[str]]:
-    """Each metric's effort-oriented values over a view; only DA may be missing, and is noted."""
-    vectors: dict[Metric, np.ndarray] = {}
+) -> tuple[dict[Metric, Ranked], list[str]]:
+    """Each metric's `ranking` over a view; only DA may be missing, and is noted."""
+    vectors: dict[Metric, Ranked] = {}
     notes: list[str] = []
     for metric in metrics:
         values = views.column(annotator, metric.field, optional=metric is DA_METRIC)
         if np.isnan(values).any():
             notes.append(f"metric {metric.name} unavailable; rows omitted")
         else:
-            vectors[metric] = effort_oriented(values, metric.polarity)
+            vectors[metric] = ranking(effort_oriented(values, metric.polarity))
     return vectors, notes
 
 
@@ -160,13 +163,13 @@ def _metric_vectors(
 
 
 def _rho_satra(
-    metric: Metric, oriented: np.ndarray, gold: np.ndarray,
+    metric: Metric, ranked: Ranked, gold_ranks: np.ndarray,
     times: np.ndarray, lengths: np.ndarray, where: str = "",
 ) -> dict:
-    """The rho and SATRA cells of one metric's row: its effort-oriented values against the gold."""
+    """The rho and SATRA cells of one metric's row: its ranking against the gold's ranks."""
+    order, ranks = ranked
     try:
-        rho = spearman(oriented, gold)
-        order = effort_order(oriented)
+        rho = rank_correlation(ranks, gold_ranks)
         satra_score = satra(times[order], lengths[order])
     except ValueError as exc:
         raise ValueError(f"{where}metric {metric.name}: {exc}") from None
@@ -182,19 +185,20 @@ def build_rank_table(views: ScoreViews, annotator: str, williams_alpha: float = 
     Pairs whose Williams statistic is undefined (tiny n, perfect correlation)
     get null p-values instead of failing the whole table.
     """
-    gold = views.column(annotator, GOLD_METRIC.field)
+    n = len(views.column(annotator, GOLD_METRIC.field))  # a missing gold is named first
     times = views.column(annotator, "pe_time_sec")
     lengths = views.column(annotator, "mt_tokens")
     vectors, notes = _metric_vectors(views, annotator, METRICS)
-    cells = {m: _rho_satra(m, v, gold, times, lengths) for m, v in vectors.items()}
+    gold_ranks = vectors[GOLD_METRIC][1]
+    cells = {m: _rho_satra(m, v, gold_ranks, times, lengths) for m, v in vectors.items()}
     rho = {m: c["rho"] for m, c in cells.items()}
     ranked_metrics = [m for m in vectors if m is not GOLD_METRIC]
     best = max(ranked_metrics, key=lambda m: rho[m]) if ranked_metrics else None
 
-    @functools.cache  # p_vs_best asks again for pairs the pair table computed
     def williams_pair(a: Metric, b: Metric) -> tuple[float | None, float | None]:
         try:
-            result = williams_test(spearman(vectors[a], vectors[b]), rho[a], rho[b], len(gold))
+            r12 = rank_correlation(vectors[a][1], vectors[b][1])
+            result = williams_test(r12, rho[a], rho[b], n)
         except ValueError:
             return None, None
         return result.t_stat, result.p_one_tailed
@@ -245,13 +249,13 @@ def build_loo_table(views: ScoreViews) -> dict:
     notes: list[str] = []
     for annotator in views.annotators:
         others = [a for a in views.annotators if a != annotator]
-        gold = _mean([views.column(a, GOLD_METRIC.field) for a in others])
+        gold = ranking(_mean([views.column(a, GOLD_METRIC.field) for a in others]))[1]  # ranks
         times = _mean([views.column(a, "pe_time_sec") for a in others])
         lengths = views.column(annotator, "mt_tokens")
         vectors, view_notes = _metric_vectors(views, annotator, [m for m in METRICS if m.loo])
         notes.extend(n for n in view_notes if n not in notes)
-        for metric, oriented in vectors.items():
-            cells = _rho_satra(metric, oriented, gold, times, lengths, f"annotator '{annotator}', ")
+        for metric, ranked in vectors.items():
+            cells = _rho_satra(metric, ranked, gold, times, lengths, f"annotator '{annotator}', ")
             table.append({"annotator": annotator, "metric": metric.name, **cells})
     return {"rows": table, "notes": notes}
 
@@ -277,15 +281,15 @@ def build_tails(views: ScoreViews, side: str, max_cut: int, step: int) -> dict:
         raise ValueError(f"step {step} exceeds max cut {max_cut}")
     cuts = list(range(step, max_cut + 1, step))
 
-    def ranking(oriented: np.ndarray) -> list[int]:
-        ranked = effort_order(oriented).tolist()
-        return ranked[::-1] if side == "worst" else ranked
+    def tail(ranked: Ranked) -> list[int]:
+        order = ranked[0].tolist()
+        return order[::-1] if side == "worst" else order
 
     vectors, notes = _metric_vectors(views, ALL_ANNOTATORS, METRICS)
-    gold_rank = ranking(vectors[GOLD_METRIC])
+    gold_rank = tail(vectors[GOLD_METRIC])
     out = []
-    for metric, oriented in vectors.items():
-        for cut, overlap in zip(cuts, tail_overlap(gold_rank, ranking(oriented), cuts)):
+    for metric, ranked in vectors.items():
+        for cut, overlap in zip(cuts, tail_overlap(gold_rank, tail(ranked), cuts)):
             out.append({"cut": cut, "metric": metric.name, "overlap": overlap})
     out.sort(key=lambda r: r["cut"])  # stable: metrics keep their order within a cut
     return {"rows": out, "notes": notes}

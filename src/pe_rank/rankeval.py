@@ -70,9 +70,20 @@ def effort_oriented(values: Sequence[float] | np.ndarray, polarity: Polarity) ->
     return values if polarity is Polarity.HIGHER_IS_MORE_EFFORT else -values
 
 
-def effort_order(oriented: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Positions of effort-oriented values from least to most effort; ties keep position order."""
-    return np.argsort(_rankable(oriented), kind="stable")
+def ranking(oriented: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One stable sort of effort-oriented values: their positions from least to
+    most effort, ties in position order, and each value's 1-based fractional
+    rank, tied values sharing the mean of their ranks. NaN is rejected."""
+    a = np.asarray(oriented, dtype=float)
+    if np.isnan(a).any():
+        raise ValueError("NaN value cannot be ranked")
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, len(a)))  # the tie groups' sizes along the order
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat(np.cumsum(counts) - (counts - 1) / 2, counts)
+    return order, ranks
 
 
 def rank_by(values: Mapping[str, float], polarity: Polarity) -> list[str]:
@@ -87,31 +98,21 @@ def rank_by(values: Mapping[str, float], polarity: Polarity) -> list[str]:
     for sid in ids:
         if math.isnan(values[sid]):
             raise ValueError(f"NaN value for segment '{sid}'")
-    order = effort_order(effort_oriented([values[sid] for sid in ids], polarity))
+    order, _ = ranking(effort_oriented([values[sid] for sid in ids], polarity))
     return [ids[i] for i in order.tolist()]
-
-
-def _rankable(values: Sequence[float]) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    if np.isnan(a).any():
-        raise ValueError("NaN value cannot be ranked")
-    return a
 
 
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
     """Average ranks (1-based); tied values share the mean of their ranks."""
-    _, group, counts = np.unique(_rankable(values), return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2)[group]
+    return ranking(values)[1]
 
 
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman's rho: Pearson correlation of the fractional ranks; NaN is rejected."""
-    if len(x) != len(y):
+def rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Spearman's rho of the values two fractional-rank vectors rank: the ranks' Pearson r."""
+    if len(rx) != len(ry):
         raise ValueError("vectors must have equal length")
-    if len(x) < 3:
+    if len(rx) < 3:
         raise ValueError("need at least 3 observations")
-    rx = fractional_ranks(x)
-    ry = fractional_ranks(y)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     vx = float(np.dot(dx, dx))
@@ -119,6 +120,11 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     if vx == 0.0 or vy == 0.0:
         raise ValueError("undefined correlation (constant vector)")
     return float(np.dot(dx, dy) / math.sqrt(vx * vy))
+
+
+def spearman(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman's rho: Pearson correlation of the fractional ranks; NaN is rejected."""
+    return rank_correlation(fractional_ranks(x), fractional_ranks(y))
 
 
 def _running_sums(values: Sequence[float] | np.ndarray) -> np.ndarray:

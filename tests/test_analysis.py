@@ -6,13 +6,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pe_rank import analysis
-from pe_rank.analysis import FLOAT_FIELDS, ScoreViews, build_report
+from pe_rank.analysis import (
+    FLOAT_FIELDS, ScoreViews, build_loo_table, build_rank_table, build_report,
+)
 from pe_rank.corpus import ALL_ANNOTATORS, load_corpus
 from pe_rank.taskmetrics import SegmentScores, score_corpus
 
@@ -113,3 +116,55 @@ def test_views_read_rows_once_from_a_generator():
     views = ScoreViews(iter(rows))
     assert views.annotators == ["a", "b"] and views.segment_ids == ["s0", "s1", "s2"]
     assert views.column("b", "pe_time_sec").tolist() == [1.0, 2.0, 3.0]
+
+
+SEEDED_SCORES = Path(__file__).parent / "golden" / "seeded" / "expected" / "scores.tsv"
+
+
+@pytest.fixture
+def seeded(monkeypatch) -> tuple[ScoreViews, dict[str, int]]:
+    """The views of the seeded golden scores, read first (`ScoreViews` groups
+    rows with its own argsort and `np.unique`, which is not a ranking), then
+    counts of the tables' `ranking` calls and of numpy's argsorts; `np.unique`,
+    which ranked before, fails."""
+    views = ScoreViews.read(SEEDED_SCORES)
+    counts = {"ranking": 0, "argsort": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def unique(*args, **kwargs):
+        raise AssertionError("a table reached np.unique")
+
+    monkeypatch.setattr(analysis, "ranking", counted("ranking", analysis.ranking))
+    monkeypatch.setattr(np, "argsort", counted("argsort", np.argsort))
+    monkeypatch.setattr(np, "unique", unique)
+    return views, counts
+
+
+def test_a_rank_table_ranks_each_column_of_its_view_once(seeded):
+    views, sorts = seeded
+    for annotator in views.annotators + [ALL_ANNOTATORS]:
+        before = sorts["ranking"]
+        table = build_rank_table(views, annotator)
+        assert sorts["ranking"] - before == len(table["rows"]) == 9, annotator
+    assert sorts["argsort"] == sorts["ranking"] == 4 * 9
+
+
+def test_a_loo_table_ranks_each_annotators_columns_and_gold_once(seeded):
+    views, sorts = seeded
+    table = build_loo_table(views)
+    k = len(views.annotators)
+    assert len(table["rows"]) == k * 6  # DA, HTER, HBLEU, HMETEOR, KEYS_PER_CHAR, PETPW
+    assert sorts["argsort"] == sorts["ranking"] == k * 7  # and the others' mean PETPW
+
+
+def test_a_report_sorts_each_table_column_once(seeded):
+    # 4 rank tables x 9 columns, 3 held-out annotators x 7, 2 tails x 9;
+    # ranking with np.unique as well sorted 430 times here
+    views, sorts = seeded
+    build_report(views, 0.01, 0.05)
+    assert sorts["argsort"] == sorts["ranking"] == 75

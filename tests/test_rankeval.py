@@ -9,10 +9,10 @@ from hypothesis import assume, given, strategies as st
 
 from pe_rank.rankeval import (
     Polarity,
-    effort_order,
     effort_oriented,
     fractional_ranks,
     rank_by,
+    ranking,
     satra,
     spearman,
     tail_overlap,
@@ -212,6 +212,13 @@ def test_fractional_ranks_match_tie_loop_bit_for_bit(values):
     assert fractional_ranks(values).tobytes() == tie_loop_fractional_ranks(values).tobytes()
 
 
+@given(st.lists(_TIE_HEAVY, max_size=12))
+def test_ranking_is_one_stable_sort_with_tie_loop_ranks(values):
+    order, ranks = ranking(values)
+    assert order.tolist() == np.argsort(values, kind="stable").tolist()
+    assert ranks.tobytes() == tie_loop_fractional_ranks(values).tobytes()
+
+
 @given(
     st.dictionaries(st.text(max_size=3), _TIE_HEAVY, min_size=1, max_size=12),
     st.sampled_from(list(Polarity)),
@@ -223,8 +230,8 @@ def test_rank_by_matches_signed_sort_key(values, polarity):
 
 def test_effort_order_keeps_position_order_on_ties():
     values = [0.5, -0.0, 0.5, 0.0]
-    assert effort_order(effort_oriented(values, HIGHER)).tolist() == [1, 3, 0, 2]
-    assert effort_order(effort_oriented(values, LOWER)).tolist() == [0, 2, 1, 3]
+    assert ranking(effort_oriented(values, HIGHER))[0].tolist() == [1, 3, 0, 2]
+    assert ranking(effort_oriented(values, LOWER))[0].tolist() == [0, 2, 1, 3]
 
 
 def test_effort_oriented_is_float64_and_negates_signed_zero():
