@@ -10,7 +10,6 @@ ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -29,11 +28,7 @@ from .rankeval import (
     tail_overlap,
 )
 from .stats import cluster_annotators, weighted_mean_std, williams_test
-from .taskmetrics import SCORES_HEADER, SegmentScores
-
-# The SegmentScores fields held as float64 columns (annotations are strings
-# here: postponed evaluation).
-FLOAT_FIELDS = tuple(f.name for f in fields(SegmentScores) if f.type.startswith("float"))
+from .taskmetrics import FLOAT_FIELDS, SCORES_HEADER, SegmentScores
 
 
 class ScoreViews:
@@ -332,10 +327,6 @@ def build_scatter(rows: Sequence[SegmentScores]) -> list[tuple[str, str, str, fl
     return out
 
 
-def petpw_by_annotator(views: ScoreViews) -> dict[str, np.ndarray]:
-    return {a: views.column(a, GOLD_METRIC.field) for a in views.annotators}
-
-
 # ---------------------------------------------------------------------------
 # report
 
@@ -366,8 +357,8 @@ def build_report(views: ScoreViews, williams_alpha: float, ks_alpha: float) -> d
         table = stage("tails", build_tails, views, side, max_cut, step)
         tails[side] = table["rows"]
         notes.extend(f"tails[{side}]: {n}" for n in table["notes"])
-    # loo has already refused a view with fewer than 2 annotators
-    petpw = stage("clusters", petpw_by_annotator, views)
+    # loo has already refused a view with fewer than 2 annotators, rank-eval a missing PETpW
+    petpw = {a: views.column(a, GOLD_METRIC.field) for a in views.annotators}
     clusters = stage("clusters", cluster_annotators, petpw, ks_alpha)
     return {
         "stats_tables": stats_table["rows"],

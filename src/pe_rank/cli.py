@@ -38,9 +38,6 @@ from .corpus import Corpus, CorpusError, format_tsv, load_corpus, read_tsv, vali
 from .taskmetrics import SCORES_HEADER, SegmentScores, score_corpus
 from .textmetrics import ter  # noqa: F401 - perfbench/test_generate.py traces this binding
 
-# The one input-error class, under the name this module's callers know.
-CliError = CorpusError
-
 # Gaps that stop `score` and `report`, and how many of them the error names.
 _GAP_KINDS = ("missing-session", "zero-time")
 _GAPS_SHOWN = 3
@@ -58,7 +55,7 @@ def _write_all(files: dict[Path, str], make_dir: bool = False) -> None:
     """Write each text to its path, or none: all are written into a temporary directory
     inside the paths' one directory, then renamed onto them. `make_dir` creates that directory."""
     if clash := [p for p in files if p.exists() and not p.is_file()]:  # a directory or a device
-        raise CliError(f"{clash[0]}: not a regular file")
+        raise CorpusError(f"{clash[0]}: not a regular file")
     directory = next(iter(files)).parent
     made = [d for d in (directory, *directory.parents) if not d.exists()] if make_dir else []
     try:
@@ -89,7 +86,7 @@ def read_scores(path: str | Path) -> list[SegmentScores]:
 
 
 def _check_sessions(corpus: Corpus) -> None:
-    """Raise CliError naming the missing and zero-time sessions, if any: every
+    """Raise CorpusError naming the missing and zero-time sessions, if any: every
     per-annotator table needs every session, an ALL row would average over
     fewer, and SATRA fails on a zero-time session only when a ranking puts it
     in a zero-time suffix, so whether the run passed would depend on how the
@@ -97,7 +94,7 @@ def _check_sessions(corpus: Corpus) -> None:
     gaps = [w.message for w in validate_corpus(corpus) if w.kind in _GAP_KINDS]
     if gaps:
         more = f" (and {len(gaps) - _GAPS_SHOWN} more)" if len(gaps) > _GAPS_SHOWN else ""
-        raise CliError(f"validate: {'; '.join(gaps[:_GAPS_SHOWN])}{more}")
+        raise CorpusError(f"validate: {'; '.join(gaps[:_GAPS_SHOWN])}{more}")
 
 
 def cmd_score(args: argparse.Namespace) -> None:

@@ -15,7 +15,7 @@ import io
 import math
 import re
 import unicodedata
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -112,16 +112,14 @@ def mt_char_count(text: str) -> int:
     return len(text.strip())
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {code[1]: chr(char) for char, code in _ESCAPES.items()}
+
+
 def escape_field(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
+    return value.translate(_ESCAPES)
 
 
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 _ESCAPE_CODE = re.compile(r"\\([\\tnr])")
 
 
@@ -162,12 +160,11 @@ def _cell_error(column: str, annotation: str, raw: str) -> str | None:
     return None
 
 
-def _cell_indices(
-    header: Sequence[str], cls: type, label: str, optional: Sequence[str] = ()
-) -> list[int | None]:
-    """The header's cell index of each field of `cls`, None for an absent optional one.
+def _cell_indices(header: Sequence[str], cls: type, label: str) -> list[int | None]:
+    """The header's cell index of each field of `cls`, None for an absent one.
 
-    Raises CorpusError naming `label` for a duplicate, missing or unexpected column.
+    Raises CorpusError naming `label` for a duplicate or unexpected column, or a
+    missing one whose field has no default.
     """
     seen: set[str] = set()
     for col in header:
@@ -175,7 +172,7 @@ def _cell_indices(
             raise CorpusError(f"{label}: duplicate column '{col}'")
         seen.add(col)
     for f in fields(cls):
-        if f.name not in seen and f.name not in optional:
+        if f.name not in seen and f.default is MISSING:
             raise CorpusError(f"{label}: missing required column '{f.name}'")
     known = {f.name for f in fields(cls)}
     for col in header:
@@ -190,7 +187,7 @@ _CHUNK_BYTES = 1 << 18
 
 
 def _parse(
-    source: str | Path | Iterable[str], cls: type, label: str, optional: Sequence[str] = ()
+    source: str | Path | Iterable[str], cls: type, label: str
 ) -> Iterator[tuple[Sequence[int], list]]:
     """The data rows of a TSV file as `_columns` yields them, a chunk of lines
     at a time, under `read_tsv`'s rules; CorpusError is raised with the file closed."""
@@ -215,7 +212,7 @@ def _parse(
             if header is None and rows:
                 header = rows.pop(0).split("\t")
                 numbers = numbers[1:]
-                plan = list(zip(fields(cls), _cell_indices(header, cls, label, optional)))
+                plan = list(zip(fields(cls), _cell_indices(header, cls, label)))
             if rows:
                 yield from _columns(rows, numbers, plan, len(header), label)
             if error:
@@ -289,22 +286,19 @@ def _numbers(cells: list[str], column: str, annotation: str) -> np.ndarray | Non
 
 
 def read_tsv(
-    source: str | Path | Iterable[str],
-    cls: type[T],
-    label: str,
-    optional: Sequence[str] = (),
+    source: str | Path | Iterable[str], cls: type[T], label: str
 ) -> Iterator[tuple[int, T]]:
     """Yield (line number, cls instance) for each data row of a TSV file.
 
     The source is a path or an iterable of lines; a line ends at LF, and one CR
     before it is dropped. The first non-blank line is the header: one column
-    per field of the dataclass `cls`, in any order; a column named in
-    `optional` may be absent and then reads as empty cells. Blank lines are
+    per field of the dataclass `cls`, in any order; the column of a field with a
+    default may be absent and then reads as empty cells. Blank lines are
     skipped but counted, so the line number of every error is the line in the
     file. A bad row (see `_cell_error`), or a line that is not UTF-8,
     raises CorpusError naming `label` and its line.
     """
-    for numbers, columns in _parse(source, cls, label, optional):
+    for numbers, columns in _parse(source, cls, label):
         values = []
         for f, column in zip(fields(cls), columns):
             if f.type == "str":
@@ -396,7 +390,7 @@ def load_corpus(
     annotator id, and empty text fields.
     """
     segments: dict[str, Segment] = {}
-    for lineno, seg in read_tsv(segments_source, Segment, "segments", optional=("da",)):
+    for lineno, seg in read_tsv(segments_source, Segment, "segments"):
         problem = (
             "empty segment id" if not seg.id.strip()
             else f"duplicate segment id '{seg.id}'" if seg.id in segments
@@ -438,8 +432,9 @@ def validate_corpus(corpus: Corpus) -> list[ValidationWarning]:
     """Report gaps without mutating anything; empty list means complete."""
     warnings: list[ValidationWarning] = []
     covered = {(s.segment_id, s.annotator_id) for s in corpus.sessions}
+    annotators = sorted(corpus.annotators)
     for seg in corpus.segments:
-        for annotator in sorted(corpus.annotators):
+        for annotator in annotators:
             if (seg.id, annotator) not in covered:
                 warnings.append(
                     ValidationWarning(

@@ -38,13 +38,11 @@ def weighted_mean_std(
     w = np.asarray(weights, dtype=float)
     if (w < 0).any():
         raise ValueError("negative weight")
-    total = float(w.sum())
-    if total == 0:
+    if w.sum() == 0:  # an input error: np.average would raise ZeroDivisionError
         raise ValueError("all-zero weights")
     x = np.asarray(values, dtype=float)
-    mean = float((w * x).sum() / total)
-    std = float(math.sqrt((w * (x - mean) ** 2).sum() / total))
-    return mean, std
+    mean = float(np.average(x, weights=w))
+    return mean, math.sqrt(np.average((x - mean) ** 2, weights=w))
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:

@@ -39,8 +39,10 @@ class SegmentScores:
     da: float | None
 
 
-# The columns of a scores file, in the order `format_tsv` writes them.
+# The columns of a scores file, in the order `format_tsv` writes them, and those
+# of them that are float columns (annotations are strings here: postponed evaluation).
 SCORES_HEADER = tuple(f.name for f in fields(SegmentScores))
+FLOAT_FIELDS = tuple(f.name for f in fields(SegmentScores) if f.type.startswith("float"))
 
 
 def petpw(pe_time_sec: float, mt_token_count: int) -> float:
@@ -66,12 +68,7 @@ def keys_per_char(keystrokes: int, mt_char_count: int) -> float:
 
 
 # Every float field except DA, which belongs to the segment, not the annotator.
-# Annotations are strings here (postponed evaluation).
-_AVERAGED_FIELDS = tuple(
-    f.name
-    for f in fields(SegmentScores)
-    if f.type.startswith("float") and f.name != DA_METRIC.field
-)
+_AVERAGED_FIELDS = tuple(f for f in FLOAT_FIELDS if f != DA_METRIC.field)
 
 
 def all_view(scores: Sequence[SegmentScores]) -> SegmentScores:
@@ -128,6 +125,7 @@ def _segment_rows(seg: Segment, sessions: Sequence[PESession]) -> list[SegmentSc
         meteor=meteor_lite(hyp, ind_ref).score,
         da=seg.da,
     )
+    chars = mt_char_count(seg.mt)
     rows = []
     for session in sessions:
         pe_ref = tokenize(session.pe_text)
@@ -137,7 +135,7 @@ def _segment_rows(seg: Segment, sessions: Sequence[PESession]) -> list[SegmentSc
                 annotator_id=session.annotator_id,
                 pe_time_sec=session.pe_time_sec,
                 petpw=petpw(session.pe_time_sec, len(hyp)),
-                keys_per_char=keys_per_char(session.keystrokes, mt_char_count(seg.mt)),
+                keys_per_char=keys_per_char(session.keystrokes, chars),
                 hter=ter(hyp, pe_ref).score,
                 hbleu=bleu(hyp, pe_ref),
                 hmeteor=meteor_lite(hyp, pe_ref).score,

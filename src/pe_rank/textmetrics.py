@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from difflib import SequenceMatcher
 from typing import Iterable, Sequence
 
 # Standard TER shift constraints: blocks of at most this many tokens may be
@@ -277,9 +278,7 @@ def bleu(hyp: Sequence[str], ref: Sequence[str], max_n: int = 4) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = _ngram_counts(ref, n)
-        matched = sum(min(count, ref_counts[g]) for g, count in hyp_counts.items())
+        matched = sum((_ngram_counts(hyp, n) & _ngram_counts(ref, n)).values())  # clipped
         total = max(len(hyp) - n + 1, 0)
         if n == 1:
             if matched == 0:
@@ -330,17 +329,9 @@ def _greedy_chunks(hyp: Sequence[str], ref: Sequence[str], need: Counter) -> int
 
 
 def _longest_common_run(hyp: Sequence[str], ref: Sequence[str]) -> int:
-    best = 0
-    prev = [0] * (len(ref) + 1)
-    for i in range(1, len(hyp) + 1):
-        cur = [0] * (len(ref) + 1)
-        for j in range(1, len(ref) + 1):
-            if hyp[i - 1] == ref[j - 1]:
-                cur[j] = prev[j - 1] + 1
-                if cur[j] > best:
-                    best = cur[j]
-        prev = cur
-    return best
+    # autojunk=False: otherwise a token frequent in a ref of 200+ tokens is junk
+    matcher = SequenceMatcher(None, hyp, ref, autojunk=False)
+    return matcher.find_longest_match(0, len(hyp), 0, len(ref)).size
 
 
 def _exact_min_chunks(
@@ -434,11 +425,7 @@ def meteor_lite(hyp: Sequence[str], ref: Sequence[str]) -> MeteorResult:
     """
     if not ref:
         raise ValueError("empty reference")
-    hyp_counts = Counter(hyp)
-    ref_counts = Counter(ref)
-    need = Counter(
-        {w: min(c, ref_counts[w]) for w, c in hyp_counts.items() if ref_counts[w]}
-    )
+    need = Counter(hyp) & Counter(ref)
     matches = sum(need.values())
     if matches == 0:
         return MeteorResult(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -10,9 +10,12 @@ plain rank-then-Pearson arithmetic, the leave-one-out mean as Python's `sum`
 adds it (`loo_mean`), and the loops and sort key that ranked and scored
 rankings before numpy did (`tie_loop_fractional_ranks`, `signed_key_ranking`,
 `satra_loop`), a TSV file parsed line by line and cell by
-cell (`row_read_tsv`), and a scores file read through it into per-annotator
-columns (`row_score_views`). None of it shares code with the package so a
-bug cannot hide on both sides of a comparison, except
+cell (`row_read_tsv`), a scores file read through it into per-annotator
+columns (`row_score_views`), and the hand-written forms that the package
+replaced with standard library and numpy calls (`dp_longest_common_run`,
+`clipped_matches` behind `comprehension_bleu` and `meteor_by_enumeration`,
+`moments_weighted_mean_std`, `replace_chain_escape`). None of it shares code
+with the package so a bug cannot hide on both sides of a comparison, except
 `score_corpus_per_session`, which checks how scoring fans out over sessions,
 not the metrics, and so calls the package's metric functions. `row_read_tsv`
 takes only `CorpusError`, the type it must raise, and the `MINIMUM` table of
@@ -24,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -300,6 +304,66 @@ def brute_min_chunks(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     return matches, best[0]
 
 
+def dp_longest_common_run(hyp: Sequence[str], ref: Sequence[str]) -> int:
+    """Length of the longest run of tokens found in both, by the two-row DP
+    that the package used before `difflib`."""
+    best = 0
+    prev = [0] * (len(ref) + 1)
+    for i in range(1, len(hyp) + 1):
+        cur = [0] * (len(ref) + 1)
+        for j in range(1, len(ref) + 1):
+            if hyp[i - 1] == ref[j - 1]:
+                cur[j] = prev[j - 1] + 1
+                if cur[j] > best:
+                    best = cur[j]
+        prev = cur
+    return best
+
+
+def clipped_matches(hyp_counts: Counter, ref_counts: Counter) -> dict:
+    """Each hypothesis item present in the reference -> the smaller of its two
+    counts, by the comprehension the package used before `Counter`'s `&`."""
+    return {w: min(c, ref_counts[w]) for w, c in hyp_counts.items() if ref_counts[w]}
+
+
+def comprehension_bleu(hyp: Sequence[str], ref: Sequence[str], max_n: int = 4) -> float:
+    """Sentence BLEU as the package computes it, with the clipped n-gram counts
+    of `clipped_matches` (the same add-one smoothing and brevity penalty)."""
+    if not hyp:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        hyp_counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
+        ref_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+        matched = sum(clipped_matches(hyp_counts, ref_counts).values())
+        total = max(len(hyp) - n + 1, 0)
+        if n == 1:
+            if matched == 0:
+                return 0.0
+        elif matched == 0:
+            matched += 1
+            total += 1
+        log_sum += math.log(matched / total)
+    brevity = math.exp(1 - len(ref) / len(hyp)) if len(hyp) < len(ref) else 1.0
+    return brevity * math.exp(log_sum / max_n)
+
+
+def meteor_by_enumeration(hyp: Sequence[str], ref: Sequence[str]) -> dict:
+    """The fields of `MeteorResult` for a pair short enough to enumerate: the
+    matches of `clipped_matches`, the chunks of `brute_min_chunks`, and the
+    package's arithmetic on them."""
+    matches = sum(clipped_matches(Counter(hyp), Counter(ref)).values())
+    if matches == 0:
+        return dict(matches=0, chunks=0, precision=0.0, recall=0.0, fmean=0.0, penalty=0.0,
+                    score=0.0)
+    chunks = brute_min_chunks(hyp, ref)[1]
+    precision, recall = matches / len(hyp), matches / len(ref)
+    fmean = 10 * precision * recall / (recall + 9 * precision)
+    penalty = 0.5 * (chunks / matches) ** 3
+    return dict(matches=matches, chunks=chunks, precision=precision, recall=recall,
+                fmean=fmean, penalty=penalty, score=fmean * (1 - penalty))
+
+
 def rank_pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman's rho computed the long way: average ranks, then Pearson."""
 
@@ -339,6 +403,18 @@ def tie_loop_fractional_ranks(values: Sequence[float]) -> np.ndarray:
         ranks[order[i : j + 1]] = (i + j) / 2 + 1
         i = j + 1
     return ranks
+
+
+def moments_weighted_mean_std(
+    values: Sequence[float], weights: Sequence[float]
+) -> tuple[float, float]:
+    """Weighted mean and population-form weighted std, by the moment sums the
+    package used before `np.average` (inputs already checked)."""
+    w = np.asarray(weights, dtype=float)
+    total = float(w.sum())
+    x = np.asarray(values, dtype=float)
+    mean = float((w * x).sum() / total)
+    return mean, float(math.sqrt((w * (x - mean) ** 2).sum() / total))
 
 
 def signed_key_ranking(values: dict[str, float], higher_is_more_effort: bool) -> list[str]:
@@ -484,6 +560,18 @@ def _row_lines(source, label: str) -> Iterator[str]:
     else:
         for raw in source:
             yield raw.removesuffix("\n").removesuffix("\r")
+
+
+def replace_chain_escape(value: str) -> str:
+    """A text field as written on disk, by the chain of `replace` calls the
+    package used before `str.translate`: the backslash first, so that no
+    escape it writes is escaped again."""
+    return (
+        value.replace("\\", "\\\\")
+        .replace("\t", "\\t")
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+    )
 
 
 _ROW_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}

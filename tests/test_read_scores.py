@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from pe_rank.cli import CliError, main, read_scores
+from pe_rank.cli import main, read_scores
+from pe_rank.corpus import CorpusError
 
 COMMANDS = (
     ["rank-eval", "--annotator", "ALL", "--out", "rank.tsv"],
@@ -41,7 +42,7 @@ def _run(tmp_path: Path, path: Path, argv: list[str]) -> int:
 def test_non_finite_cell_fails_naming_line_and_column(tmp_path, fixture_paths, capsys, column, raw):
     path, lines = _scores(tmp_path, fixture_paths)
     path.write_text("\n".join(_set_cell(lines, 3, column, raw)) + "\n", encoding="utf-8")
-    with pytest.raises(CliError, match=f"line 3: non-finite {column}"):
+    with pytest.raises(CorpusError, match=f"line 3: non-finite {column}"):
         read_scores(path)
     for argv in COMMANDS:
         assert _run(tmp_path, path, argv) == 1, argv
@@ -63,7 +64,7 @@ def test_out_of_range_cell_fails_naming_line_and_column(tmp_path, fixture_paths,
     path, lines = _scores(tmp_path, fixture_paths)
     assert lines[1].startswith("s1\tANN0")
     path.write_text("\n".join(_set_cell(lines, 2, column, raw)) + "\n", encoding="utf-8")
-    with pytest.raises(CliError, match=f"line 2: {column} '{raw}' below minimum"):
+    with pytest.raises(CorpusError, match=f"line 2: {column} '{raw}' below minimum"):
         read_scores(path)
     for argv in COMMANDS + (["rank-eval", "--annotator", "ANN0", "--out", "rank0.tsv"],):
         assert _run(tmp_path, path, argv) == 1, argv
@@ -81,7 +82,7 @@ def test_int_beyond_int64_fails_naming_line_and_maximum(tmp_path, fixture_paths,
             lines = _set_cell(lines, lineno, "mt_tokens", BEYOND_INT64)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     message = f"scores: line 2: mt_tokens '{BEYOND_INT64}' above maximum 9223372036854775807"
-    with pytest.raises(CliError, match=f"^{message}$"):
+    with pytest.raises(CorpusError, match=f"^{message}$"):
         read_scores(path)
     for argv in COMMANDS:
         assert _run(tmp_path, path, argv) == 1, argv
@@ -102,7 +103,7 @@ def test_duplicate_row_fails_naming_line(tmp_path, fixture_paths, capsys):
     path, lines = _scores(tmp_path, fixture_paths)
     lines.append(lines[4])  # s2 ANN0 again, as line 11
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(CliError, match="line 11: duplicate row for segment 's2', annotator 'ANN0'"):
+    with pytest.raises(CorpusError, match="line 11: duplicate row for segment 's2', annotator 'ANN0'"):
         read_scores(path)
     for argv in COMMANDS:
         assert _run(tmp_path, path, argv) == 1, argv
@@ -125,7 +126,7 @@ def test_line_numbers_count_blank_lines(tmp_path, fixture_paths):
     path, lines = _scores(tmp_path, fixture_paths)
     lines = _set_cell(lines, 5, "ter", "x")
     path.write_text("\n".join(lines[:2] + ["", ""] + lines[2:]) + "\n", encoding="utf-8")
-    with pytest.raises(CliError, match="line 7: non-numeric ter"):
+    with pytest.raises(CorpusError, match="line 7: non-numeric ter"):
         read_scores(path)
 
 
@@ -134,7 +135,7 @@ def test_mt_tokens_differing_within_a_segment_fails_naming_line(tmp_path, fixtur
     assert lines[2].startswith("s1\tANN1\t5\t")
     path.write_text("\n".join(_set_cell(lines, 3, "mt_tokens", "6")) + "\n", encoding="utf-8")
     message = "line 3: mt_tokens 6 for segment 's1' differs from 5 on an earlier row"
-    with pytest.raises(CliError, match=message):
+    with pytest.raises(CorpusError, match=message):
         read_scores(path)
     for argv in COMMANDS:
         assert _run(tmp_path, path, argv) == 1, argv

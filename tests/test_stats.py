@@ -14,6 +14,8 @@ from pe_rank.stats import (
     williams_test,
 )
 
+from oracles import moments_weighted_mean_std
+
 # Frozen before the build from an independent statistical package:
 # survival values of Student's t on a (t, df) grid.
 T_SF_ORACLE = {
@@ -116,6 +118,17 @@ def test_weighted_equal_weights_property(values):
     arr = np.asarray(values)
     assert mean == pytest.approx(float(arr.mean()), abs=1e-9)
     assert std == pytest.approx(float(arr.std()), abs=1e-9)
+
+
+@given(
+    st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0, 1e6)), min_size=1, max_size=40)
+    .filter(lambda pairs: any(w > 0 for _, w in pairs))
+)
+def test_weighted_matches_the_moment_sums_bit_for_bit(pairs):
+    values, weights = zip(*pairs)
+    got = weighted_mean_std(values, weights)
+    assert [type(v) for v in got] == [float, float]
+    assert [v.hex() for v in got] == [v.hex() for v in moments_weighted_mean_std(values, weights)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pe_rank.textmetrics import bleu, meteor_lite, ter, word_edit_distance
+from pe_rank.textmetrics import _longest_common_run, bleu, meteor_lite, ter, word_edit_distance
 
 from oracles import (
     brute_min_chunks,
+    comprehension_bleu,
+    dp_longest_common_run,
     dp_ter,
     dp_word_edit_distance,
     exhaustive_shift_min,
     levenshtein,
+    meteor_by_enumeration,
     unpruned_ter,
 )
 
@@ -41,6 +44,12 @@ ter_pairs = word_pairs(st.integers(2, 5), st.integers(0, 80), st.integers(1, 80)
 # Vocabularies of 1 to 4 words make most candidate shifts tie on gain, and
 # ties are where pruning on an equal bound could go wrong.
 tie_pairs = word_pairs(st.integers(1, 4), st.integers(0, 40), st.integers(1, 40))
+# Pairs of 200 to 260 tokens in which one token is about a quarter of each:
+# difflib's autojunk would treat it as junk in a sequence of 200 or more.
+frequent_pairs = st.tuples(*[
+    st.lists(st.sampled_from(["the"] * 8 + [f"w{i}" for i in range(24)]),
+             min_size=200, max_size=260)
+] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +269,12 @@ def test_bleu_self_is_one_when_long_enough(sent, max_n):
         assert bleu(sent, sent, max_n) == pytest.approx(1.0, abs=1e-15)
 
 
+@given(word_pairs(st.integers(1, 4), st.integers(0, 30), st.integers(1, 30)), st.integers(1, 4))
+def test_bleu_matches_the_comprehension_clipped_counts_bit_for_bit(pair, max_n):
+    hyp, ref = pair
+    assert bleu(hyp, ref, max_n).hex() == comprehension_bleu(hyp, ref, max_n).hex()
+
+
 # ---------------------------------------------------------------------------
 # meteor_lite
 
@@ -321,6 +336,21 @@ def test_meteor_chunks_match_enumeration_oracle(hyp, ref):
     result = meteor_lite(hyp, ref)
     assert result.matches == expected_matches
     assert result.chunks == expected_chunks
+
+
+@given(word_pairs(st.integers(1, 4), st.integers(0, 6), st.integers(1, 6)))
+def test_meteor_result_matches_clipped_counts_and_enumeration_bit_for_bit(pair):
+    hyp, ref = pair
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(vars(meteor_lite(hyp, ref))) == repr(meteor_by_enumeration(hyp, ref))
+
+
+@settings(max_examples=40)
+@given(st.one_of(tie_pairs, frequent_pairs))
+def test_longest_common_run_matches_the_dp(pair):
+    hyp, ref = pair
+    assert _longest_common_run(hyp, ref) == dp_longest_common_run(hyp, ref)
+    assert _longest_common_run(ref, hyp) == dp_longest_common_run(hyp, ref)
 
 
 def test_meteor_exact_beats_naive_greedy_case():

@@ -16,10 +16,12 @@ from hypothesis import given, strategies as st
 from pe_rank import corpus
 from pe_rank.analysis import FLOAT_FIELDS, ScoreViews
 from pe_rank.cli import main, read_scores, write_scores
-from pe_rank.corpus import ALL_ANNOTATORS, CorpusError, PESession, Segment, load_corpus, read_tsv
+from pe_rank.corpus import (
+    ALL_ANNOTATORS, CorpusError, PESession, Segment, escape_field, load_corpus, read_tsv,
+)
 from pe_rank.taskmetrics import SegmentScores
 
-from oracles import row_read_tsv
+from oracles import replace_chain_escape, row_read_tsv
 
 SEEDED_SCORES = Path(__file__).parent / "golden" / "seeded" / "expected" / "scores.tsv"
 SEG_HEADER = "id\tsystem_id\tsource\tmt\treference\tda"
@@ -59,6 +61,11 @@ def _one_length_per_segment(rows: list[SegmentScores]) -> list[SegmentScores]:
     """The rows, each with the mt_tokens of its segment's first row, as a scores file has."""
     first: dict[str, int] = {}
     return [replace(r, mt_tokens=first.setdefault(r.segment_id, r.mt_tokens)) for r in rows]
+
+
+@given(st.lists(st.sampled_from(["\\", "\t", "\n", "\r", "a", "b", "\\t"])).map("".join))
+def test_escape_field_matches_the_replace_chain(text):
+    assert escape_field(text) == replace_chain_escape(text)
 
 
 @given(
@@ -240,7 +247,7 @@ def test_read_tsv_gives_the_row_by_row_oracles_rows_then_error(drawn, source, ch
         path = Path(tmp) / "file.tsv"
         path.write_text(text, encoding="utf-8")
         expected = _rows_then_error(row_read_tsv(path, cls, "file", optional))
-        assert _rows_then_error(read_tsv(sources[source](path), cls, "file", optional)) == expected
+        assert _rows_then_error(read_tsv(sources[source](path), cls, "file")) == expected
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
