@@ -59,22 +59,22 @@ class ScoreViews:
         return views
 
     def _read(self, source: str | Path | Iterable[str]) -> None:
-        line, columns, error = read_tsv_columns(source, SegmentScores, "scores")
+        lines, columns, error = read_tsv_columns(source, SegmentScores, "scores")
         self._group(*columns["segment_id"], *columns["annotator_id"], columns["mt_tokens"],
-                    {f: columns[f] for f in FLOAT_FIELDS}, line)
+                    {f: columns[f] for f in FLOAT_FIELDS}, lines)
         if error:
             raise error
 
     def _group(
         self, segment_codes: np.ndarray, segments: list[str],
         annotator_codes: np.ndarray, annotators: list[str],
-        mt_tokens: np.ndarray, floats: dict[str, np.ndarray], line: Callable[[int], int],
+        mt_tokens: np.ndarray, floats: dict[str, np.ndarray], lines: np.ndarray,
     ) -> None:
         """Sort rows into views: row i is segment `segments[segment_codes[i]]`
         as annotator `annotators[annotator_codes[i]]`, codes numbered in order
         of first appearance. Raises CorpusError for the first row that repeats
         an earlier row's (segment, annotator) pair or differs in mt_tokens from
-        its segment's first row (a repeat first), naming its `line`."""
+        its segment's first row (a repeat first), naming its line in `lines`."""
         n = len(segments)
         first = np.unique(segment_codes, return_index=True)[1]  # first row of each segment
         differ = np.flatnonzero(mt_tokens != mt_tokens[first][segment_codes])
@@ -88,7 +88,7 @@ class ScoreViews:
         if len(repeats) or len(differ):
             row = int(np.concatenate([repeats, differ]).min())
             code = segment_codes[row]
-            where = f"scores: line {line(row)}: "
+            where = f"scores: line {lines[row]}: "
             if row in repeats:
                 raise CorpusError(f"{where}duplicate row for segment '{segments[code]}', "
                                   f"annotator '{annotators[annotator_codes[row]]}'")

@@ -4,9 +4,9 @@ A corpus couples translation segments (source, MT output, independent
 reference, optional DA score) with post-editing sessions (the PE'ed text, the
 seconds it took, and the keystrokes pressed). Both sides arrive as UTF-8
 tab-separated files; text fields are escaped so they never contain raw tabs
-or newlines on disk. `format_tsv` writes every TSV file, and `_parse` parses
-it in chunks of lines, column by column: `read_tsv` reads it as rows,
-`read_tsv_columns` as the columns of the whole file.
+or newlines on disk. `format_tsv` writes every TSV file, and `read_tsv_columns`
+reads every one, in chunks of lines, parsing and checking each column whole;
+`read_tsv` gives its rows as dataclass instances.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import math
 import re
 import unicodedata
 from dataclasses import MISSING, dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -186,41 +186,6 @@ def _cell_indices(header: Sequence[str], cls: type, label: str) -> list[int | No
 _CHUNK_BYTES = 1 << 18
 
 
-def _parse(
-    source: str | Path | Iterable[str], cls: type, label: str
-) -> Iterator[tuple[Sequence[int], list]]:
-    """The data rows of a TSV file as `_columns` yields them, a chunk of lines
-    at a time, under `read_tsv`'s rules; CorpusError is raised with the file closed."""
-    if isinstance(source, (str, Path)):
-        file = open(source, "rb")
-    else:  # lines, each with its LF or not, read whole; a lone surrogate fails on its line
-        text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
-        file = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    header = None
-    end = 0  # number of the last line read
-    with file:
-        while lines := file.readlines(_CHUNK_BYTES):
-            text, error = _decoded(b"".join(lines), end, label)
-            if "\r" in text:  # one CR before a line's LF, or before the file's end, is dropped
-                text = text.replace("\r\n", "\n").removesuffix("\r")
-            rows = text.removesuffix("\n").split("\n")
-            numbers: Sequence[int] = range(end + 1, end + 1 + len(rows))
-            end += len(rows)
-            if "" in rows:  # blank lines are skipped, but counted
-                numbers = [n for n, row in zip(numbers, rows) if row]
-                rows = list(filter(None, rows))
-            if header is None and rows:
-                header = rows.pop(0).split("\t")
-                numbers = numbers[1:]
-                plan = list(zip(fields(cls), _cell_indices(header, cls, label)))
-            if rows:
-                yield from _columns(rows, numbers, plan, len(header), label)
-            if error:
-                raise error
-    if header is None:
-        raise CorpusError(f"{label}: empty input (header row required)")
-
-
 def _decoded(data: bytes, end: int, label: str) -> tuple[str, CorpusError | None]:
     """UTF-8 lines, the first of them line `end` + 1, as text; if a line does not
     decode, the text before it and the CorpusError naming it."""
@@ -234,15 +199,14 @@ def _decoded(data: bytes, end: int, label: str) -> tuple[str, CorpusError | None
         return data[:start].decode("utf-8"), CorpusError(f"{label}: line {line}: {bad}")
 
 
-def _columns(
-    rows: list[str], numbers: Sequence[int], plan: list, width: int, label: str
-) -> Iterator[tuple[Sequence[int], list]]:
-    """Yield (line numbers, one column per (field, cell index) of `plan`) of data rows:
-    the raw (escaped) cells of a `str` field, int64 for an `int` one, float64 for
-    a `float` or `float | None` one, NaN for an empty cell. Each column is parsed
+def _columns(rows: list[str], plan: list, width: int) -> tuple[int, list, str | None]:
+    """(n, columns, problem) for data rows: `rows[:n]` are good, and `problem` is
+    what is wrong with `rows[n]`, or None if n is len(rows). `columns` holds one
+    column of `rows[:n]` per (field, cell index) of `plan`, none if n is 0: the
+    raw (escaped) cells of a `str` field, int64 for an `int` one, float64 for a
+    `float` or `float | None` one, NaN for an empty cell. Each column is parsed
     and checked whole. If a check fails, a scan in row, then field, order finds
-    the first bad row by `_cell_error`: the rows before it are yielded, then
-    CorpusError names it."""
+    the first bad row by `_cell_error`."""
     columns: list = []
     if set(map(str.count, rows, repeat("\t"))) == {width - 1}:
         cells = "\t".join(rows).split("\t")
@@ -252,8 +216,7 @@ def _columns(
                 break
             columns.append(column)
     if len(columns) == len(plan):
-        yield numbers, columns
-        return
+        return len(rows), columns, None
     for at, row in enumerate(rows):
         cells = row.split("\t")
         if len(cells) != width:
@@ -262,9 +225,7 @@ def _columns(
             problems = (_cell_error(f.name, f.type, cells[i]) for f, i in plan if i is not None)
             problem = next(filter(None, problems), None)
         if problem:
-            if at:
-                yield from _columns(rows[:at], numbers[:at], plan, width, label)
-            raise CorpusError(f"{label}: line {numbers[at]}: {problem}")
+            return at, _columns(rows[:at], plan, width)[1] if at else [], problem
     raise AssertionError("a column check failed, but no cell breaks `_cell_error`'s rule")
 
 
@@ -285,54 +246,63 @@ def _numbers(cells: list[str], column: str, annotation: str) -> np.ndarray | Non
     return parsed
 
 
-def read_tsv(
-    source: str | Path | Iterable[str], cls: type[T], label: str
-) -> Iterator[tuple[int, T]]:
-    """Yield (line number, cls instance) for each data row of a TSV file.
+def read_tsv_columns(
+    source: str | Path | Iterable[str], cls: type, label: str
+) -> tuple[np.ndarray, dict[str, object], CorpusError | None]:
+    """The data rows of a TSV file as one column per field of the dataclass `cls`.
 
     The source is a path or an iterable of lines; a line ends at LF, and one CR
     before it is dropped. The first non-blank line is the header: one column
-    per field of the dataclass `cls`, in any order; the column of a field with a
-    default may be absent and then reads as empty cells. Blank lines are
-    skipped but counted, so the line number of every error is the line in the
-    file. A bad row (see `_cell_error`), or a line that is not UTF-8,
-    raises CorpusError naming `label` and its line.
-    """
-    for numbers, columns in _parse(source, cls, label):
-        values = []
-        for f, column in zip(fields(cls), columns):
-            if f.type == "str":
-                values.append(map(unescape_field, column))
-            elif f.type == "float | None":
-                values.append([None if math.isnan(v) else v for v in column.tolist()])
-            else:
-                values.append(column.tolist())
-        yield from zip(numbers, map(cls, *values))
+    per field of `cls`, in any order; the column of a field with a default may
+    be absent and then reads as empty cells. Blank lines are skipped but
+    counted, so the line number of every error is the line in the file.
 
-
-def read_tsv_columns(
-    source: str | Path | Iterable[str], cls: type, label: str
-) -> tuple[Callable[[int], int], dict[str, object], CorpusError | None]:
-    """The data rows of a TSV file (a path or an iterable of lines), read as by
-    `read_tsv`, as one column per field of `cls`.
-
-    Returns (line, columns, error). `line(i)` is the line number of row i. A
+    Returns (lines, columns, error). `lines` is int64, row i's line number. A
     `str` column is (codes, values): an int64 code per row, and the unescaped
     value of each code, numbered in order of first appearance. An `int` column
     is int64; a `float` or `float | None` column is float64, NaN for an empty
-    cell. `error` is None, or the CorpusError that `read_tsv` raises for the
-    file; the columns then hold every row before the bad line.
+    cell. `error` is None, or the CorpusError naming `label` and the first bad
+    line: a bad header, a bad row (see `_cell_error`) or a line that is not
+    UTF-8; the columns then hold every row before it.
     """
+    if isinstance(source, (str, Path)):
+        file = open(source, "rb")
+    else:  # lines, each with its LF or not, read whole; a lone surrogate fails on its line
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+        file = io.BytesIO(text.encode("utf-8", "surrogatepass"))
     values = {f.name: {} for f in fields(cls) if f.type == "str"}  # unescaped value -> code
     parts = {  # each column's chunks, after an empty one of its dtype
         f.name: [np.empty(0, np.float64 if f.type.startswith("float") else np.int64)]
         for f in fields(cls)
     }
-    chunks: list[Sequence[int]] = []  # each chunk's line numbers
-    error = None
-    try:
-        for numbers, columns in _parse(source, cls, label):
-            chunks.append(numbers)
+    lines: list[Sequence[int]] = []  # each chunk's line numbers of good rows
+    header = error = None
+    end = 0  # number of the last line read
+    with file:
+        while not error and (chunk := file.readlines(_CHUNK_BYTES)):
+            text, error = _decoded(b"".join(chunk), end, label)
+            if "\r" in text:  # one CR before a line's LF, or before the file's end, is dropped
+                text = text.replace("\r\n", "\n").removesuffix("\r")
+            rows = text.removesuffix("\n").split("\n")
+            numbers: Sequence[int] = range(end + 1, end + 1 + len(rows))
+            end += len(rows)
+            if "" in rows:  # blank lines are skipped, but counted
+                numbers = [n for n, row in zip(numbers, rows) if row]
+                rows = list(filter(None, rows))
+            if header is None and rows:
+                header = rows.pop(0).split("\t")
+                numbers = numbers[1:]
+                try:
+                    plan = list(zip(fields(cls), _cell_indices(header, cls, label)))
+                except CorpusError as exc:
+                    error = exc
+                    break
+            if not rows:
+                continue
+            n, columns, problem = _columns(rows, plan, len(header))
+            if problem:  # named before an undecodable line after it
+                error = CorpusError(f"{label}: line {numbers[n]}: {problem}")
+            lines.append(numbers[:n])
             for f, column in zip(fields(cls), columns):
                 if f.type == "str":  # two raw cells may unescape alike (a lone backslash stays)
                     known = values[f.name]
@@ -340,21 +310,34 @@ def read_tsv_columns(
                              for raw in dict.fromkeys(column)}
                     column = np.fromiter(map(codes.__getitem__, column), np.int64, len(column))
                 parts[f.name].append(column)
-    except CorpusError as exc:
-        error = exc
-
-    def line(row: int) -> int:
-        for numbers in chunks:
-            if row < len(numbers):
-                return numbers[row]
-            row -= len(numbers)
-        raise IndexError("row beyond the rows read")
-
+    if header is None and not error:
+        error = CorpusError(f"{label}: empty input (header row required)")
     # each column's chunks are let go once joined, so at most one column is held twice
     out: dict[str, object] = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
     for name, known in values.items():
         out[name] = (out[name], list(known))
-    return line, out, error
+    return np.fromiter(chain.from_iterable(lines), np.int64), out, error
+
+
+def read_tsv(
+    source: str | Path | Iterable[str], cls: type[T], label: str
+) -> Iterator[tuple[int, T]]:
+    """Yield (line number, cls instance) for each good row of `read_tsv_columns`,
+    then raise its error, if any."""
+    lines, columns, error = read_tsv_columns(source, cls, label)
+    values = []
+    for f in fields(cls):
+        column = columns[f.name]
+        if f.type == "str":
+            codes, known = column
+            values.append(map(known.__getitem__, codes.tolist()))
+        elif f.type == "float | None":
+            values.append([None if math.isnan(v) else v for v in column.tolist()])
+        else:
+            values.append(column.tolist())
+    yield from zip(lines.tolist(), map(cls, *values))
+    if error:
+        raise error
 
 
 def format_tsv(header: Sequence[str], rows: Iterable[Mapping]) -> str:

@@ -36,11 +36,13 @@ def weighted_mean_std(
     if len(values) == 0:
         raise ValueError("empty input")
     w = np.asarray(weights, dtype=float)
+    x = np.asarray(values, dtype=float)
+    if not (np.isfinite(w).all() and np.isfinite(x).all()):  # a NaN passes the checks below
+        raise ValueError("non-finite weight or value")
     if (w < 0).any():
         raise ValueError("negative weight")
     if w.sum() == 0:  # an input error: np.average would raise ZeroDivisionError
         raise ValueError("all-zero weights")
-    x = np.asarray(values, dtype=float)
     mean = float(np.average(x, weights=w))
     return mean, math.sqrt(np.average((x - mean) ** 2, weights=w))
 
@@ -61,25 +63,18 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even term, then the odd one; convergence is checked after the odd
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if abs(c) < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             break
     return h
@@ -144,14 +139,12 @@ def ks_survival(lam: float) -> float:
     if lam < 1e-9:
         return 1.0
     total = 0.0
-    converged = False
     for k in range(1, 101):
         term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
         total += term
         if abs(term) < 1e-12:
-            converged = True
             break
-    if not converged:
+    else:  # not converged
         return 1.0
     return min(max(total, 0.0), 1.0)
 

@@ -14,8 +14,10 @@ cell (`row_read_tsv`), a scores file read through it into per-annotator
 columns (`row_score_views`), and the hand-written forms that the package
 replaced with standard library and numpy calls (`dp_longest_common_run`,
 `clipped_matches` behind `comprehension_bleu` and `meteor_by_enumeration`,
-`moments_weighted_mean_std`, `replace_chain_escape`). None of it shares code
-with the package so a bug cannot hide on both sides of a comparison, except
+`moments_weighted_mean_std`, `replace_chain_escape`), and the incomplete
+beta continued fraction with its two Lentz updates written out
+(`unfolded_beta_cont_frac`). None of it shares code with the package so a
+bug cannot hide on both sides of a comparison, except
 `score_corpus_per_session`, which checks how scoring fans out over sessions,
 not the metrics, and so calls the package's metric functions. `row_read_tsv`
 takes only `CorpusError`, the type it must raise, and the `MINIMUM` table of
@@ -415,6 +417,47 @@ def moments_weighted_mean_std(
     x = np.asarray(values, dtype=float)
     mean = float((w * x).sum() / total)
     return mean, float(math.sqrt((w * (x - mean) ** 2).sum() / total))
+
+
+def unfolded_beta_cont_frac(a: float, b: float, x: float) -> float:
+    """The incomplete beta continued fraction by Lentz's method, as the package
+    wrote it before it folded the even and odd updates into one loop body."""
+    max_iter = 300
+    eps = 3e-16
+    fpmin = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            break
+    return h
 
 
 def signed_key_ranking(values: dict[str, float], higher_is_more_effort: bool) -> list[str]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from pe_rank import corpus
+from pe_rank import analysis, corpus
 from pe_rank.analysis import FLOAT_FIELDS, ScoreViews
 from pe_rank.cli import SCORES_HEADER
 from pe_rank.corpus import ALL_ANNOTATORS, MINIMUM, CorpusError, escape_field
@@ -41,14 +41,14 @@ def _same_views(views: ScoreViews, oracle: dict) -> None:
 
 def _read_once(path: Path) -> ScoreViews:
     """`ScoreViews.read(path)`, failing unless it parses the file exactly once."""
-    parse, calls = corpus._parse, []
+    parse, calls = analysis.read_tsv_columns, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return parse(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "_parse", counted)
+        patch.setattr(analysis, "read_tsv_columns", counted)
         try:
             return ScoreViews.read(path)
         finally:

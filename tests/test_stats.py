@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pe_rank.stats import (
+    _beta_cont_frac,
     cluster_annotators,
     ks_survival,
     ks_two_sample,
@@ -14,7 +15,7 @@ from pe_rank.stats import (
     williams_test,
 )
 
-from oracles import moments_weighted_mean_std
+from oracles import moments_weighted_mean_std, unfolded_beta_cont_frac
 
 # Frozen before the build from an independent statistical package:
 # survival values of Student's t on a (t, df) grid.
@@ -112,6 +113,21 @@ def test_weighted_all_zero_weights():
         weighted_mean_std([1.0, 2.0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "values, weights",
+    [
+        ([1.0, 2.0], [float("nan"), 1.0]),
+        ([1.0, 2.0], [1.0, float("inf")]),
+        ([float("nan"), 2.0], [1.0, 1.0]),
+        ([1.0, float("inf")], [1.0, 1.0]),
+        ([1.0, -float("inf")], [1.0, 1.0]),
+    ],
+)
+def test_weighted_non_finite_input_is_rejected(values, weights):
+    with pytest.raises(ValueError, match="non-finite weight or value"):
+        weighted_mean_std(values, weights)
+
+
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=20))
 def test_weighted_equal_weights_property(values):
     mean, std = weighted_mean_std(values, [3.5] * len(values))
@@ -158,6 +174,17 @@ def test_t_sf_symmetry(t, df):
 def test_incomplete_beta_monotone_and_bounded(x, a, b):
     value = regularized_incomplete_beta(a, b, x)
     assert 0.0 <= value <= 1.0
+
+
+# Shape parameters over the range the Williams test reaches (df / 2 and 0.5),
+# and the half-integers it takes exactly.
+_shape = st.one_of(st.floats(0.01, 300), st.integers(1, 600).map(lambda k: k / 2))
+
+
+@settings(max_examples=1000)
+@given(_shape, _shape, st.floats(0, 1, exclude_min=True, exclude_max=True))
+def test_beta_cont_frac_matches_the_unfolded_updates_bit_for_bit(a, b, x):
+    assert _beta_cont_frac(a, b, x).hex() == unfolded_beta_cont_frac(a, b, x).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +258,11 @@ def test_ks_symmetry():
 def test_ks_survival_frozen_value():
     assert ks_survival(1.0) == pytest.approx(KS_SURVIVAL_AT_ONE, abs=1e-9)
     assert ks_survival(0.0) == 1.0
+
+
+def test_ks_survival_is_one_where_the_series_does_not_converge():
+    # every term is about 2 in size, so 100 of them sum to about 0 before the clamp
+    assert ks_survival(1e-6) == 1.0
 
 
 def test_ks_small_sample_rejected():

@@ -160,6 +160,13 @@ def test_header_rules(header, message):
         # no UTF-8 file holds a lone surrogate, so no line given in memory may
         (["s1\tsys\tsrc\tmt\tref\t", "s2\tsys\tsrc\tmt\ud800\tref\t"], [],
          "^segments: line 3: 'utf-8' codec can't decode byte 0xed in position 13"),
+        # a row that load_corpus rejects is named before a bad cell on a later
+        # line: the reader gives every good row before its error
+        (["s1\tsys\tsrc\tmt\tref\t", "s1\tsys\tsrc\tmt\tref\t", "s2\tsys\tsrc\tmt\tref\t",
+          "s3\tsys\tsrc\tmt\tref\tx"], [],
+         "^segments: line 3: duplicate segment id 's1'$"),
+        (["s1\tsys\tsrc\tmt\tref\t"], ["s9\tA\tpe\t1.0\t3", "s1\tA\tpe\t-1.0\t3"],
+         "^sessions: line 2: unknown segment id 's9'$"),
     ],
 )
 def test_row_rejections_name_the_line(seg_rows, sess_rows, message):
