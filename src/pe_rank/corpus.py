@@ -6,21 +6,28 @@ seconds it took, and the keystrokes pressed). Both sides arrive as UTF-8
 tab-separated files; text fields are escaped so they never contain raw tabs
 or newlines on disk. `format_tsv` writes every TSV file, and `read_tsv_columns`
 reads every one, in chunks of lines, parsing and checking each column whole;
-`read_tsv` gives its rows as dataclass instances.
+`read_tsv` gives its rows as dataclass instances. A file of several MB is cut
+at line starts into parts, one per usable CPU while each holds at least
+`_MIN_PART_BYTES`; a forked process parses each part but the first (see
+`forked`), and the parts are joined in file order, so the result is the same
+at any number of parts.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import re
+import stat
 import unicodedata
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
+
+from . import forked
 
 TokenList = list[str]
 T = TypeVar("T")
@@ -185,10 +192,46 @@ def _cell_indices(header: Sequence[str], cls: type, label: str) -> list[int | No
 # objects, whatever the file's size.
 _CHUNK_BYTES = 1 << 18
 
+# The fewest bytes of data rows per part of a read. On a shared 2-vCPU host
+# (Python 3.11), a fork, pickle and reap cost about 3 ms and 1 MB of a scores
+# file parses in about 18 ms, so a part of 1 MB pays for its fork many times.
+_MIN_PART_BYTES = 1 << 20
 
-def _decoded(data: bytes, end: int, label: str) -> tuple[str, CorpusError | None]:
+_BOM = "\ufeff".encode("utf-8")
+
+
+def _part_count(size: int) -> int:
+    """One part per usable CPU, while each holds _MIN_PART_BYTES of data rows."""
+    return forked.part_count(size, _MIN_PART_BYTES)
+
+
+def _pieces(read: Callable[[int, int], bytes], start: int, stop: int) -> Iterator[bytes]:
+    """The bytes from `start` to `stop`, read _CHUNK_BYTES at a time, in pieces
+    that end at the last LF read so far; the last piece ends at `stop`."""
+    piece = b""
+    while start < stop and (data := read(start, min(stop, start + _CHUNK_BYTES))):
+        start += len(data)
+        piece += data
+        if cut := piece.rfind(b"\n") + 1:
+            yield piece[:cut]
+            piece = piece[cut:]
+    if piece:
+        yield piece
+
+
+def _line_start(read: Callable[[int, int], bytes], at: int, stop: int) -> int:
+    """The offset of the first line that starts at or after `at`, or `stop`."""
+    at -= 1  # an LF here ends the line before
+    while at < stop and (data := read(at, min(stop, at + _CHUNK_BYTES))):
+        if (lf := data.find(b"\n")) >= 0:
+            return at + lf + 1
+        at += len(data)
+    return stop
+
+
+def _decoded(data: bytes, end: int) -> tuple[str, tuple[int, str] | None]:
     """UTF-8 lines, the first of them line `end` + 1, as text; if a line does not
-    decode, the text before it and the CorpusError naming it."""
+    decode, the text before it and the (line number, problem) that names it."""
     try:
         return data.decode("utf-8"), None
     except UnicodeDecodeError as exc:  # lines end at LF, so no character spans two
@@ -196,7 +239,32 @@ def _decoded(data: bytes, end: int, label: str) -> tuple[str, CorpusError | None
         line = end + 1 + data.count(b"\n", 0, start)
         bad = UnicodeDecodeError(exc.encoding, data[start:exc.end], exc.start - start,
                                  exc.end - start, exc.reason)  # positions within the line
-        return data[:start].decode("utf-8"), CorpusError(f"{label}: line {line}: {bad}")
+        return data[:start].decode("utf-8"), (line, str(bad))
+
+
+def _header(
+    read: Callable[[int, int], bytes], size: int, cls: type, label: str
+) -> tuple[int, int, list, int]:
+    """(start, lines, plan, width) of the header, the first non-blank line after
+    one byte order mark at the very start of the input, if there is one: the
+    offset after its line, its line number, each field of `cls` with its cell
+    index (see `_cell_indices`), and the number of cells. Raises CorpusError
+    naming `label` for a header that is bad or not UTF-8, or for no header."""
+    start = len(_BOM) if read(0, len(_BOM)) == _BOM else 0
+    lines = 0
+    for data in _pieces(read, start, size):
+        for row in data.removesuffix(b"\n").split(b"\n"):
+            lines += 1
+            end = min(size, start + len(row) + 1)  # past its LF
+            if row.removesuffix(b"\r"):  # decoded with its LF, as a data line is
+                text, problem = _decoded(read(start, end), lines - 1)
+                if problem:
+                    raise CorpusError(f"{label}: line {problem[0]}: {problem[1]}")
+                header = text.removesuffix("\n").removesuffix("\r").split("\t")
+                plan = list(zip(fields(cls), _cell_indices(header, cls, label)))
+                return end, lines, plan, len(header)
+            start = end
+    raise CorpusError(f"{label}: empty input (header row required)")
 
 
 def _columns(rows: list[str], plan: list, width: int) -> tuple[int, list, str | None]:
@@ -252,10 +320,16 @@ def read_tsv_columns(
     """The data rows of a TSV file as one column per field of the dataclass `cls`.
 
     The source is a path or an iterable of lines; a line ends at LF, and one CR
-    before it is dropped. The first non-blank line is the header: one column
-    per field of `cls`, in any order; the column of a field with a default may
-    be absent and then reads as empty cells. Blank lines are skipped but
-    counted, so the line number of every error is the line in the file.
+    before it is dropped, as is one byte order mark at the very start. The
+    first non-blank line is the header: one column per field of `cls`, in any
+    order; the column of a field with a default may be absent and then reads
+    as empty cells. Blank lines are skipped but counted, so the line number of
+    every error is the line in the file.
+
+    After the header, the file is cut at line starts into `_part_count` parts
+    of about equal size; the first is parsed here and each other one in a
+    forked process (see `forked.run_parts`), and the parts are joined in file
+    order, so the result is the same at any part count.
 
     Returns (lines, columns, error). `lines` is int64, row i's line number. A
     `str` column is (codes, values): an int64 code per row, and the unescaped
@@ -266,57 +340,102 @@ def read_tsv_columns(
     UTF-8; the columns then hold every row before it.
     """
     if isinstance(source, (str, Path)):
-        file = open(source, "rb")
+        with open(source, "rb") as file:
+            fd = file.fileno()
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):  # read by offset: no part moves another's position
+                return _read(lambda start, stop: os.pread(fd, stop - start, start),
+                             info.st_size, cls, label)
+            data = file.read()  # a pipe, say, read whole
     else:  # lines, each with its LF or not, read whole; a lone surrogate fails on its line
         text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
-        file = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+        data = text.encode("utf-8", "surrogatepass")
+    return _read(lambda start, stop: data[start:stop], len(data), cls, label)
+
+
+def _read(
+    read: Callable[[int, int], bytes], size: int, cls: type, label: str
+) -> tuple[np.ndarray, dict[str, object], CorpusError | None]:
+    """`read_tsv_columns` of the `size` bytes of which `read(start, stop)` gives a range."""
+    try:
+        start, before, plan, width = _header(read, size, cls, label)
+    except CorpusError as exc:
+        parts, error = [], exc
+    else:
+        n = _part_count(size - start)
+        cuts = sorted({start, size, *(_line_start(read, start + (size - start) * k // n, size)
+                                      for k in range(1, n))})
+        ranges = list(zip(cuts, cuts[1:])) or [(start, size)]
+        parts = forked.run_parts(lambda r: _read_part(read, *r, plan, width), ranges, "reading")
+        error = None
     values = {f.name: {} for f in fields(cls) if f.type == "str"}  # unescaped value -> code
-    parts = {  # each column's chunks, after an empty one of its dtype
+    chunks = {  # each column's chunks, after an empty one of its dtype
         f.name: [np.empty(0, np.float64 if f.type.startswith("float") else np.int64)]
         for f in fields(cls)
     }
+    lines = [np.empty(0, np.int64)]
+    for count, part_lines, columns, part_values, problem in parts:  # in file order
+        lines.append(part_lines + before)
+        for name, column in columns.items():
+            if name in values and values[name]:  # renumbered in order of first appearance
+                known, own = values[name], part_values[name]
+                recode = np.fromiter((known.setdefault(value, len(known)) for value in own),
+                                     np.int64, len(own))
+                column = [recode[codes] for codes in column]
+            elif name in values:  # the first values read: their codes stand
+                values[name] = part_values[name]
+            chunks[name].extend(column)
+        if problem:  # the first bad line of the file, since every part before this one is good
+            error = CorpusError(f"{label}: line {before + problem[0]}: {problem[1]}")
+            break
+        before += count
+    # each column's chunks are let go once joined, so at most one column is held twice
+    out: dict[str, object] = {name: np.concatenate(chunks.pop(name)) for name in list(chunks)}
+    for name, known in values.items():
+        out[name] = (out[name], list(known))
+    return np.concatenate(lines), out, error
+
+
+def _read_part(
+    read: Callable[[int, int], bytes], start: int, stop: int, plan: list, width: int
+) -> tuple[int, np.ndarray, dict[str, list], dict[str, dict[str, int]], tuple[int, str] | None]:
+    """(count, lines, columns, values, problem) for the data lines from byte
+    `start` to `stop`, which starts a line: the number of lines read, blank ones
+    too; the line number of each good row, counting from 1 at `start`; each
+    field's column in chunks (see `_columns`), a `str` one as int64 codes; for
+    each `str` field, its unescaped values, each mapped to its code, numbered
+    in order of first appearance; and the (line number, problem) of the first
+    bad line, or None. The rows read are those before it."""
+    values = {f.name: {} for f, _ in plan if f.type == "str"}  # unescaped value -> code
+    columns: dict[str, list] = {f.name: [] for f, _ in plan}
     lines: list[Sequence[int]] = []  # each chunk's line numbers of good rows
-    header = error = None
     end = 0  # number of the last line read
-    with file:
-        while not error and (chunk := file.readlines(_CHUNK_BYTES)):
-            text, error = _decoded(b"".join(chunk), end, label)
-            if "\r" in text:  # one CR before a line's LF, or before the file's end, is dropped
-                text = text.replace("\r\n", "\n").removesuffix("\r")
-            rows = text.removesuffix("\n").split("\n")
-            numbers: Sequence[int] = range(end + 1, end + 1 + len(rows))
-            end += len(rows)
-            if "" in rows:  # blank lines are skipped, but counted
-                numbers = [n for n, row in zip(numbers, rows) if row]
-                rows = list(filter(None, rows))
-            if header is None and rows:
-                header = rows.pop(0).split("\t")
-                numbers = numbers[1:]
-                try:
-                    plan = list(zip(fields(cls), _cell_indices(header, cls, label)))
-                except CorpusError as exc:
-                    error = exc
-                    break
-            if not rows:
-                continue
-            n, columns, problem = _columns(rows, plan, len(header))
-            if problem:  # named before an undecodable line after it
-                error = CorpusError(f"{label}: line {numbers[n]}: {problem}")
+    problem = None
+    for data in _pieces(read, start, stop):
+        text, problem = _decoded(data, end)
+        if "\r" in text:  # one CR before a line's LF, or before the file's end, is dropped
+            text = text.replace("\r\n", "\n").removesuffix("\r")
+        rows = text.removesuffix("\n").split("\n")
+        numbers: Sequence[int] = range(end + 1, end + 1 + len(rows))
+        end += len(rows)
+        if "" in rows:  # blank lines are skipped, but counted
+            numbers = [n for n, row in zip(numbers, rows) if row]
+            rows = list(filter(None, rows))
+        if rows:
+            n, chunk, bad = _columns(rows, plan, width)
+            if bad:  # named before an undecodable line after it
+                problem = (numbers[n], bad)
             lines.append(numbers[:n])
-            for f, column in zip(fields(cls), columns):
+            for (f, _), column in zip(plan, chunk):
                 if f.type == "str":  # two raw cells may unescape alike (a lone backslash stays)
                     known = values[f.name]
                     codes = {raw: known.setdefault(unescape_field(raw), len(known))
                              for raw in dict.fromkeys(column)}
                     column = np.fromiter(map(codes.__getitem__, column), np.int64, len(column))
-                parts[f.name].append(column)
-    if header is None and not error:
-        error = CorpusError(f"{label}: empty input (header row required)")
-    # each column's chunks are let go once joined, so at most one column is held twice
-    out: dict[str, object] = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
-    for name, known in values.items():
-        out[name] = (out[name], list(known))
-    return np.fromiter(chain.from_iterable(lines), np.int64), out, error
+                columns[f.name].append(column)
+        if problem:
+            break
+    return end, np.fromiter(chain.from_iterable(lines), np.int64), columns, values, problem
 
 
 def read_tsv(

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import warnings
 from dataclasses import dataclass, fields, replace
-from typing import BinaryIO, NoReturn, Sequence
+from typing import Sequence
 
+from . import forked
 from .corpus import ALL_ANNOTATORS, Corpus, PESession, Segment, mt_char_count, tokenize
 from .rankeval import DA_METRIC
 from .textmetrics import bleu, meteor_lite, ter
@@ -165,7 +163,7 @@ def score_corpus(corpus: Corpus) -> list[SegmentScores]:
     sessions_index = corpus.sessions_by_segment()
     jobs = [(seg, sessions_index[seg.id]) for seg in sorted(corpus.segments, key=lambda s: s.id)]
     split = _split(jobs, _part_count(len(jobs)))
-    results = _score_parts(jobs, split)
+    results = forked.run_parts(lambda indices: _score_part(jobs, indices), split, "scoring")
     failure = min((failure for _, failure in results if failure is not None), default=None)
     if failure is not None:  # segment indices are distinct, so min compares only them
         raise failure[1]
@@ -184,15 +182,8 @@ _MIN_PART = 4
 
 
 def _part_count(segments: int) -> int:
-    """One part per usable CPU, while there are _MIN_PART segments per part;
-    one without `os.fork`."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, segments // _MIN_PART))
+    """One part per usable CPU, while there are _MIN_PART segments per part."""
+    return forked.part_count(segments, _MIN_PART)
 
 
 def _split(jobs: Sequence, parts: int) -> list[list[int]]:
@@ -228,68 +219,3 @@ def _score_part(jobs: Sequence, indices: list[int]) -> tuple[list, tuple[int, Ex
         except Exception as exc:  # noqa: BLE001 - score_corpus raises the earliest one
             return done, (i, exc)
     return done, None
-
-
-def _score_parts(jobs: Sequence, split: list[list[int]]) -> list[tuple]:
-    """`_score_part` of each part of `split`: the first here, every other one in
-    a forked child. Every child is reaped before this returns or raises."""
-    children: dict[int, BinaryIO] = {}  # pid -> the read end of its pipe
-    try:
-        for indices in split[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = _fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _child(read_fd, write_fd, jobs, indices)
-            children[pid] = open(read_fd, "rb")
-            os.close(write_fd)
-        results = [_score_part(jobs, split[0])]
-        for pid, pipe in list(children.items()):
-            with pipe:  # read before waiting: a child blocks on a full pipe until then
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if status != 0:
-                raise RuntimeError(
-                    f"a scoring process ended with status {status} before sending its rows"
-                )
-            results.append(pickle.loads(data))  # written by our own child
-        return results
-    finally:
-        if children:  # interrupted, or a child failed: end the others
-            import signal  # only here, so that importing the package loads nothing more
-
-            for pid, pipe in children.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork() -> int:
-    with warnings.catch_warnings():
-        # Python 3.12+ warns when a process with other threads forks, because a
-        # lock one of them holds stays held in the child. numpy's OpenBLAS starts
-        # threads at import. The child calls no numpy or BLAS routine and leaves
-        # by os._exit, so it waits on none of their locks.
-        warnings.filterwarnings(
-            "ignore", r"This process .*is multi-threaded, use of fork\(\)", DeprecationWarning
-        )
-        return os.fork()
-
-
-def _child(read_fd: int, write_fd: int, jobs: Sequence, indices: list[int]) -> NoReturn:
-    """Score one part and send it to the parent as one pickle, then leave by
-    os._exit: a child never returns into its caller's code (a `finally`, say)
-    and never flushes a buffer it inherited, so nothing is written twice."""
-    status = 1
-    try:
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(_score_part(jobs, indices), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)

@@ -1,9 +1,12 @@
-"""Scoring in forked parts: the same rows, errors, exit codes and files as scoring
-in one process, whatever the number of parts, and no process left behind.
+"""Scoring and reading in forked parts, through `forked.run_parts`: the same
+rows, errors, exit codes and files as in one process, whatever the number of
+parts, and no process left behind.
 
-`taskmetrics._part_count` is patched to force a number of parts, so the fork
-path runs here even on a machine with one CPU; `taskmetrics._split` tells
-which part, and so which process, scores a segment.
+`taskmetrics._part_count` and `corpus._part_count` are patched to force a
+number of parts, so the fork path runs here even on a machine with one CPU;
+`taskmetrics._split` tells which part, and so which process, scores a segment.
+The tests of a child that dies, of an interrupt and of a child's buffers run
+for each user of the helper: scoring and reading.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 from unittest import mock
@@ -19,7 +25,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pe_rank import taskmetrics
+import pe_rank
+from pe_rank import corpus, taskmetrics
 from pe_rank.cli import main
 from pe_rank.corpus import PESession, Segment, load_corpus
 from pe_rank.taskmetrics import score_corpus
@@ -28,8 +35,17 @@ SEEDED = Path(__file__).parent / "golden" / "seeded"
 SEEDED_INPUTS = ["--segments", str(SEEDED / "segments.tsv"), "--sessions", str(SEEDED / "sessions.tsv")]
 
 
+@contextlib.contextmanager
 def _parts(parts: int):
-    return mock.patch.object(taskmetrics, "_part_count", lambda segments: parts)
+    """Score, and read every file, in `parts` parts."""
+    with mock.patch.object(taskmetrics, "_part_count", lambda segments: parts), \
+            mock.patch.object(corpus, "_part_count", lambda size: parts):
+        yield
+
+
+# Each user of `forked.run_parts`, by the word its error uses, and the function
+# that does the work of one part in it.
+_USERS = {"scoring": (taskmetrics, "_segment_rows"), "reading": (corpus, "_read_part")}
 
 
 def _no_child_left() -> None:
@@ -48,15 +64,24 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, stderr.getvalue()
 
 
-def test_part_count_is_one_per_usable_cpu_while_parts_hold_a_minimum(monkeypatch):
+def _check_part_count(monkeypatch, part_count, minimum: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    for segments in range(0, 100):
-        parts = taskmetrics._part_count(segments)
+    for units in [*range(0, 100), *(minimum * k + d for k in range(1, 11) for d in (-1, 0, 1))]:
+        parts = part_count(units)
         assert 1 <= parts <= 8
-        assert parts == 1 or segments // parts >= taskmetrics._MIN_PART
-        assert parts == 8 or segments // (parts + 1) < taskmetrics._MIN_PART
+        assert parts == 1 or units // parts >= minimum
+        assert parts == 8 or units // (parts + 1) < minimum
     monkeypatch.delattr(os, "fork")
-    assert taskmetrics._part_count(1000) == 1
+    assert part_count(1000 * minimum) == 1
+
+
+def test_part_count_is_one_per_usable_cpu_while_parts_hold_a_minimum(monkeypatch):
+    _check_part_count(monkeypatch, taskmetrics._part_count, taskmetrics._MIN_PART)
+
+
+def test_read_part_count_is_one_per_usable_cpu_while_parts_hold_a_minimum(monkeypatch):
+    _check_part_count(monkeypatch, corpus._part_count, corpus._MIN_PART_BYTES)
+    assert corpus._MIN_PART_BYTES > 64 << 10  # report's scores text, say, is read in one part
 
 
 @settings(max_examples=50)
@@ -148,55 +173,82 @@ def test_planted_failure_reads_as_at_one_part(monkeypatch, tmp_path, case, parts
     _no_child_left()
 
 
-def test_a_child_that_dies_without_its_rows_exits_2(monkeypatch, tmp_path):
-    parent = os.getpid()
-    real = taskmetrics._segment_rows
-    jobs = _seeded_jobs()
-    dies = jobs[_first(taskmetrics._split(jobs, 3)[1])][0].id  # never in the test process
+def _plant_in(monkeypatch, user: str, child, parent=None) -> None:
+    """Make the function that does one part's work for `user` call `child` in a
+    forked child, and `parent`, if given, in the test process."""
+    module, name = _USERS[user]
+    real, test_process = getattr(module, name), os.getpid()
 
-    def planted(seg, sessions):
-        if seg.id == dies and os.getpid() != parent:
-            os._exit(3)
-        return real(seg, sessions)
+    def planted(*args):
+        if os.getpid() != test_process:
+            child()
+        elif parent:
+            parent()
+        return real(*args)
 
-    monkeypatch.setattr(taskmetrics, "_segment_rows", planted)
+    monkeypatch.setattr(module, name, planted)
+
+
+@pytest.mark.parametrize("user", sorted(_USERS))
+def test_a_child_that_dies_without_its_rows_exits_2(monkeypatch, tmp_path, user):
+    _plant_in(monkeypatch, user, child=lambda: os._exit(3))
     with _parts(3):
         code, stderr = _run(["report", *SEEDED_INPUTS, "--out-dir", str(tmp_path / "r")])
     assert code == 2
-    assert "status 3" in stderr
+    assert f"a {user} process ended with status 3" in stderr
     assert list(tmp_path.iterdir()) == []
     _no_child_left()
 
 
 def test_a_child_never_flushes_or_returns_into_the_parent(tmp_path):
-    corpus = load_corpus(SEEDED / "segments.tsv", SEEDED / "sessions.tsv")
     log = tmp_path / "log.txt"
     with _parts(3), open(log, "w", encoding="utf-8") as stream:
         stream.write("before\n")  # still in the buffer when the children fork
         try:
-            score_corpus(corpus)
+            score_corpus(load_corpus(SEEDED / "segments.tsv", SEEDED / "sessions.tsv"))
         finally:
             stream.write("finally\n")
     assert log.read_text(encoding="utf-8") == "before\nfinally\n"
     _no_child_left()
 
 
-def test_an_interrupt_kills_and_reaps_the_children(monkeypatch):
-    parent = os.getpid()
-    real = taskmetrics._segment_rows
+def _interrupt():
+    raise KeyboardInterrupt
 
-    def planted(seg, sessions):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)  # a child outlives the interrupt unless it is killed
-        return real(seg, sessions)
 
-    monkeypatch.setattr(taskmetrics, "_segment_rows", planted)
+@pytest.mark.parametrize("user", sorted(_USERS))
+def test_an_interrupt_kills_and_reaps_the_children(monkeypatch, user):
+    # a child outlives the interrupt unless it is killed
+    _plant_in(monkeypatch, user, child=lambda: time.sleep(60), parent=_interrupt)
     start = time.monotonic()
     with _parts(3), pytest.raises(KeyboardInterrupt):
         score_corpus(load_corpus(SEEDED / "segments.tsv", SEEDED / "sessions.tsv"))
     assert time.monotonic() - start < 30
     _no_child_left()
+
+
+def test_forked_reads_and_scores_raise_no_fork_warning():
+    """On Python 3.12+, fork() in a process with threads (numpy's OpenBLAS
+    starts some) warns; `forked._fork` silences that one warning, so that
+    under -W error a forked read and a forked score still run."""
+    code = textwrap.dedent(f"""
+        import os, threading
+        from unittest import mock
+        from pe_rank import corpus, taskmetrics
+        seeded = {str(SEEDED)!r}
+        threading.Thread(target=threading.Event().wait, args=(30,), daemon=True).start()
+        def run(parts):
+            with mock.patch.object(taskmetrics, "_part_count", lambda segments: parts), \\
+                    mock.patch.object(corpus, "_part_count", lambda size: parts):
+                c = corpus.load_corpus(seeded + "/segments.tsv", seeded + "/sessions.tsv")
+                return c, taskmetrics.score_corpus(c)
+        assert run(3) == run(1)
+        print("ok")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(pe_rank.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
 
 # ---------------------------------------------------------------------------

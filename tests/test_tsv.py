@@ -132,6 +132,36 @@ def test_scores_read_the_same_after_rewrite(tmp_path, fixture_paths, rewrite):
     assert list(map(repr, read_scores(rewrite(path, tmp_path / "rewritten.tsv")))) == list(map(repr, rows))
 
 
+@pytest.mark.parametrize("kind", ["segments", "sessions", "scores"])
+@pytest.mark.parametrize("in_memory", [False, True], ids=["path", "lines"])
+def test_a_byte_order_mark_at_the_very_start_is_dropped(tmp_path, fixture_paths, kind, in_memory):
+    paths = dict(zip(["segments", "sessions"], fixture_paths), scores=_scores_file(tmp_path, fixture_paths))
+    marked = dict(paths)
+    marked[kind] = tmp_path / f"marked-{kind}.tsv"
+    marked[kind].write_bytes("\ufeff".encode("utf-8") + paths[kind].read_bytes())
+    if in_memory:
+        marked[kind] = marked[kind].read_text(encoding="utf-8").splitlines(keepends=True)
+    if kind == "scores":
+        rows = [repr(row) for _, row in read_tsv(paths[kind], SegmentScores, "scores")]
+        assert [repr(row) for _, row in read_tsv(marked[kind], SegmentScores, "scores")] == rows
+        assert ScoreViews.read(marked[kind]).segment_ids == ScoreViews.read(paths[kind]).segment_ids
+    else:
+        assert load_corpus(marked["segments"], marked["sessions"]) == load_corpus(*fixture_paths)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n\ufeff" + SEG_HEADER, "^segments: missing required column 'id'$"),  # not at the very start
+    ("\ufeff\ufeff" + SEG_HEADER, "^segments: missing required column 'id'$"),  # only one is dropped
+    ("\ufeff", "^segments: empty input"),
+])
+def test_a_byte_order_mark_elsewhere_stays(text, message):
+    with pytest.raises(CorpusError, match=message):
+        load_corpus(io.StringIO(text + "\n"), io.StringIO(SESS_HEADER + "\n"))
+    rows = ["\ufeffs1\tsys\tsrc\tmt\tref\t", "s2\ufeff\tsys\tsrc\tmt\tref\t"]
+    loaded = load_corpus(io.StringIO("\ufeff" + "\n".join([SEG_HEADER, *rows])), io.StringIO(SESS_HEADER))
+    assert [seg.id for seg in loaded.segments] == ["\ufeffs1", "s2\ufeff"]
+
+
 @pytest.mark.parametrize(
     "header, message",
     [
