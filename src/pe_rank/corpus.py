@@ -208,15 +208,16 @@ def _part_count(size: int) -> int:
 def _pieces(read: Callable[[int, int], bytes], start: int, stop: int) -> Iterator[bytes]:
     """The bytes from `start` to `stop`, read _CHUNK_BYTES at a time, in pieces
     that end at the last LF read so far; the last piece ends at `stop`."""
-    piece = b""
+    held: list[bytes] = []  # the reads since the last LF, joined once one comes
     while start < stop and (data := read(start, min(stop, start + _CHUNK_BYTES))):
         start += len(data)
-        piece += data
-        if cut := piece.rfind(b"\n") + 1:
-            yield piece[:cut]
-            piece = piece[cut:]
-    if piece:
-        yield piece
+        if cut := data.rfind(b"\n") + 1:
+            yield b"".join([*held, data[:cut]])
+            held = [data[cut:]]
+        else:
+            held.append(data)
+    if rest := b"".join(held):
+        yield rest
 
 
 def _line_start(read: Callable[[int, int], bytes], at: int, stop: int) -> int:
@@ -343,10 +344,13 @@ def read_tsv_columns(
         with open(source, "rb") as file:
             fd = file.fileno()
             info = os.fstat(fd)
-            if stat.S_ISREG(info.st_mode):  # read by offset: no part moves another's position
+            # A regular file is read by offset, so no part moves the position
+            # another reads from; a pipe, or any file where os has no pread, is
+            # read whole.
+            if stat.S_ISREG(info.st_mode) and hasattr(os, "pread"):
                 return _read(lambda start, stop: os.pread(fd, stop - start, start),
                              info.st_size, cls, label)
-            data = file.read()  # a pipe, say, read whole
+            data = file.read()
     else:  # lines, each with its LF or not, read whole; a lone surrogate fails on its line
         text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
         data = text.encode("utf-8", "surrogatepass")

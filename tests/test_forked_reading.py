@@ -168,6 +168,21 @@ def test_no_part_moves_the_position_another_reads_from(tmp_path, monkeypatch, pa
     _assert_same(_read(path, "sessions", 3), one)
 
 
+def test_a_path_reads_the_same_where_os_has_no_pread_or_fork(tmp_path, monkeypatch):
+    """Without os.pread a path is read whole and cut in memory; without
+    os.fork too (as on Windows) it is read in one part, however large."""
+    path = tmp_path / "sessions.tsv"
+    rows = b"".join(b"s%d\ta1\tp\t1.5\t3\r\n\n" % i for i in range(3000))
+    path.write_bytes(_SESSIONS_HEADER + rows + b"s\ta1\tp\tinf\t1\n")
+    one = _read(path, "sessions", 1)
+    monkeypatch.delattr(os, "pread")
+    _assert_same(_read(path, "sessions", 3), one)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(corpus, "_MIN_PART_BYTES", 1)
+    assert corpus._part_count(path.stat().st_size) == 1
+    _assert_same(read_tsv_columns(path, PESession, "sessions"), one)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_a_path_that_is_not_a_regular_file_is_read_whole(tmp_path):
     """A named pipe has no offsets to read by: it is read whole, in one part."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import os
 import tempfile
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from pe_rank.analysis import FLOAT_FIELDS, ScoreViews
 from pe_rank.cli import main, read_scores, write_scores
 from pe_rank.corpus import (
     ALL_ANNOTATORS, CorpusError, PESession, Segment, escape_field, load_corpus, read_tsv,
+    read_tsv_columns,
 )
 from pe_rank.taskmetrics import SegmentScores
 
@@ -160,6 +162,30 @@ def test_a_byte_order_mark_elsewhere_stays(text, message):
     rows = ["\ufeffs1\tsys\tsrc\tmt\tref\t", "s2\ufeff\tsys\tsrc\tmt\tref\t"]
     loaded = load_corpus(io.StringIO("\ufeff" + "\n".join([SEG_HEADER, *rows])), io.StringIO(SESS_HEADER))
     assert [seg.id for seg in loaded.segments] == ["\ufeffs1", "s2\ufeff"]
+
+
+def test_a_line_several_chunks_long_is_one_piece(monkeypatch):
+    """Each piece ends at the last LF read so far, however many reads a line takes."""
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 64)
+    data = b"a" * 1000 + b"\n" + b"b" * 10 + b"\nccc"
+    read = lambda start, stop: data[start:stop]
+    assert list(corpus._pieces(read, 0, len(data))) == [data[:1012], b"ccc"]
+    assert list(corpus._pieces(read, 1001, len(data))) == [data[1001:1012], b"ccc"]
+    assert list(corpus._pieces(read, 0, 1000)) == [data[:1000]]
+
+
+def test_a_file_without_lf_is_read_in_linear_time(tmp_path, monkeypatch):
+    """A file with CR line ends (as old Mac editors wrote) is one line, so its
+    header is the whole file. Joined once, its 32,768 reads copy 8 MB; a piece
+    grown by a copy per read would copy about 137 GB."""
+    monkeypatch.setattr(corpus, "_CHUNK_BYTES", 256)
+    path = tmp_path / "segments.tsv"
+    row = "s1\tsys\t" + "w" * 1000 + "\tmt\tref\t\r"
+    path.write_bytes((SEG_HEADER + "\r" + row * ((8 << 20) // len(row))).encode())
+    start = time.perf_counter()
+    lines, columns, error = read_tsv_columns(path, Segment, "segments")
+    assert time.perf_counter() - start < 2.0
+    assert len(lines) == 0 and str(error) == "segments: duplicate column 'mt'"
 
 
 @pytest.mark.parametrize(
